@@ -81,16 +81,18 @@ O3Core::setTagPending(const rename::PhysRegTag &tag)
     regReadyAt[tagIndex(tag)] = ~Tick{0};
 }
 
-O3Core::InFlight *
-O3Core::findBySeq(std::uint64_t fetchSeq)
+namespace {
+
+/** Drop the slots younger than `seq` from a seq-ordered list. */
+template <typename Slots>
+void
+dropYounger(Slots &slots, std::uint64_t seq)
 {
-    auto it = std::lower_bound(
-        rob.begin(), rob.end(), fetchSeq,
-        [](const InFlight &a, std::uint64_t s) { return a.fetchSeq < s; });
-    if (it == rob.end() || it->fetchSeq != fetchSeq)
-        return nullptr;
-    return &*it;
+    while (!slots.empty() && slots.back().fetchSeq > seq)
+        slots.pop_back();
 }
+
+} // namespace
 
 bool
 O3Core::srcsReady(const InFlight &inst) const
@@ -113,11 +115,10 @@ O3Core::loadMayIssue(const InFlight &inst, Tick *forwardReady) const
     const Addr lo = inst.di.effAddr;
     const Addr hi = lo + inst.meta.memBytes;
     bool forward = false;
-    for (const InFlight &other : rob) {
-        if (other.fetchSeq >= inst.fetchSeq)
+    for (const Slot &slot : robStores) {
+        if (slot.fetchSeq >= inst.fetchSeq)
             break;
-        if (!other.meta.isStore())
-            continue;
+        const InFlight &other = *slot.inst;
         if (!other.storeExecuted)
             return false;   // conservative: address unknown
         if (other.wrongPath)
@@ -230,27 +231,66 @@ O3Core::recordFlight(obs::FlightEventKind kind, std::uint64_t seq,
 }
 
 void
+O3Core::audit(const char *where)
+{
+    auditor->check(renamer, where);
+    checkScheduler(where);
+}
+
+void
+O3Core::checkScheduler(const char *where) const
+{
+    // Each list must be exactly the seq-ordered subsequence of the ROB
+    // entries in its state; one ROB walk checks all three.
+    std::size_t inIq = 0, inExec = 0, inStores = 0;
+    auto expect = [&](const auto &slots, std::size_t &pos,
+                      const InFlight &e, const char *list) {
+        if (pos >= slots.size() || slots[pos].inst != &e ||
+            slots[pos].fetchSeq != e.fetchSeq) {
+            rrs_panic("scheduler audit failed at %s: %s slot %zu does "
+                      "not hold ROB entry seq %llu",
+                      where, list, pos,
+                      static_cast<unsigned long long>(e.fetchSeq));
+        }
+        ++pos;
+    };
+    for (const InFlight &e : rob) {
+        if (!e.issued)
+            expect(iq, inIq, e, "IQ");
+        else if (!e.completed)
+            expect(executing, inExec, e, "executing list");
+        if (e.meta.isStore())
+            expect(robStores, inStores, e, "store list");
+    }
+    if (inIq != iq.size() || inExec != executing.size() ||
+        inStores != robStores.size()) {
+        rrs_panic("scheduler audit failed at %s: stale slots (IQ %zu/%zu, "
+                  "executing %zu/%zu, stores %zu/%zu matched)",
+                  where, inIq, iq.size(), inExec, executing.size(),
+                  inStores, robStores.size());
+    }
+}
+
+void
 O3Core::squashAfter(std::uint64_t fetchSeq, rename::HistoryToken token,
                     std::uint32_t *recoveries)
 {
     // Discard un-renamed younger instructions; replay correct-path ones
     // is unnecessary for mispredicts (all younger are wrong-path) and
-    // handled by the caller for flushes.
+    // handled by the caller for flushes.  The scheduler lists go first:
+    // their slots point at the ROB entries popped below.
+    dropYounger(iq, fetchSeq);
+    dropYounger(executing, fetchSeq);
+    dropYounger(robStores, fetchSeq);
     while (!rob.empty() && rob.back().fetchSeq > fetchSeq) {
         const InFlight &victim = rob.back();
         if (victim.meta.isLoad())
             --loadsInFlight;
-        if (victim.meta.isStore())
-            --storesInFlight;
         ++squashedInsts;
         if (tracer)
             tracer->squash(victim.fetchSeq);
         rob.pop_back();
     }
-    // Remove squashed entries from the IQ.
-    iq.erase(std::remove_if(iq.begin(), iq.end(),
-                            [&](std::uint64_t s) { return s > fetchSeq; }),
-             iq.end());
 
     auto produced = [&](const rename::PhysRegTag &tag) {
         return regReadyAt[tagIndex(tag)] <= now;
@@ -261,7 +301,7 @@ O3Core::squashAfter(std::uint64_t fetchSeq, rename::HistoryToken token,
     if (flightRec)
         recordFlight(obs::FlightEventKind::Squash, fetchSeq, nullptr);
     if (auditor)
-        auditor->check(renamer, "post-squash");
+        audit("post-squash");
 
     if (tracer) {
         for (const InFlight &i : fetchQueue)
@@ -348,12 +388,12 @@ O3Core::flushAll(Cycles extraPenalty)
             ++squashedInsts;
             if (rob.front().meta.isLoad())
                 --loadsInFlight;
-            if (rob.front().meta.isStore())
-                --storesInFlight;
             if (tracer)
                 tracer->squash(rob.front().fetchSeq);
-            rob.clear();
             iq.clear();
+            executing.clear();
+            robStores.clear();
+            rob.clear();
             renamer.squashTo(token, [&](const rename::PhysRegTag &tag) {
                 return regReadyAt[tagIndex(tag)] <= now;
             });
@@ -369,7 +409,7 @@ O3Core::flushAll(Cycles extraPenalty)
     if (flightRec)
         recordFlight(obs::FlightEventKind::Flush, 0, nullptr);
     if (auditor)
-        auditor->check(renamer, "post-flush");
+        audit("post-flush");
 
     // Recover committed values that live in shadow cells.
     std::uint32_t committed_rec = renamer.committedShadowValues();
@@ -425,7 +465,7 @@ O3Core::commitStage()
                          head.rr.hasDest ? &head.rr.destTag : nullptr);
         }
         if (auditor && auditEveryCommit)
-            auditor->check(renamer, "post-commit");
+            audit("post-commit");
         if (head.meta.isStore())
             memSys.dataAccess(head.di.pc, head.di.effAddr, true, now);
         if (head.meta.isControl()) {
@@ -437,7 +477,7 @@ O3Core::commitStage()
         if (head.meta.isLoad())
             --loadsInFlight;
         if (head.meta.isStore())
-            --storesInFlight;
+            robStores.pop_front();
 
         ++committed;
         ++committedThisCycle;
@@ -467,11 +507,17 @@ O3Core::commitStage()
 void
 O3Core::writebackStage()
 {
+    // Oldest first: age decides which finished entries get the
+    // writeback ports this cycle.  The slots that stay executing are
+    // compacted towards the front as the walk goes.
     std::uint32_t n = 0;
-    for (std::size_t i = 0; i < rob.size() && n < params.wbWidth; ++i) {
-        InFlight &inst = rob[i];
-        if (!inst.issued || inst.completed || inst.readyAt > now)
+    std::size_t keep = 0, i = 0;
+    for (; i < executing.size() && n < params.wbWidth; ++i) {
+        InFlight &inst = *executing[i].inst;
+        if (inst.readyAt > now) {
+            executing[keep++] = executing[i];
             continue;
+        }
         inst.completed = true;
         ++n;
         if (tracer)
@@ -481,42 +527,52 @@ O3Core::writebackStage()
         if (inst.rr.hasDest)
             setTagReady(inst.rr.destTag, now);
         if (inst.meta.isControl()) {
-            bool was_mispredicted = inst.mispredicted;
+            if (inst.mispredicted) {
+                // Every slot after this one is younger than the branch
+                // and about to be squashed.
+                executing.erase(executing.begin() +
+                                    static_cast<std::ptrdiff_t>(keep),
+                                executing.end());
+                resolveBranch(inst);
+                return;
+            }
             resolveBranch(inst);
-            if (was_mispredicted)
-                break;   // squash invalidated the iteration
         }
     }
+    executing.erase(executing.begin() + static_cast<std::ptrdiff_t>(keep),
+                    executing.begin() + static_cast<std::ptrdiff_t>(i));
 }
 
 void
 O3Core::issueStage()
 {
+    // Oldest ready first; the slots left waiting are compacted towards
+    // the front as the walk goes.
     std::uint32_t budget = params.issueWidth;
-    std::vector<std::uint64_t> remaining;
-    remaining.reserve(iq.size());
-    for (std::uint64_t seq : iq) {
-        if (budget == 0) {
-            remaining.push_back(seq);
-            continue;
+    std::size_t keep = 0, i = 0;
+    for (; i < iq.size() && budget > 0; ++i) {
+        const Slot slot = iq[i];
+        InFlight &inst = *slot.inst;
+        if (srcsReady(inst)) {
+            scheduleCompletion(inst);
+            if (inst.issued) {
+                --budget;
+                if (tracer)
+                    tracer->issue(slot.fetchSeq, now);
+                executing.insert(
+                    std::upper_bound(executing.begin(), executing.end(),
+                                     slot.fetchSeq,
+                                     [](std::uint64_t s, const Slot &e) {
+                                         return s < e.fetchSeq;
+                                     }),
+                    slot);
+                continue;
+            }
         }
-        InFlight *inst = findBySeq(seq);
-        rrs_assert(inst != nullptr, "IQ entry without ROB entry");
-        if (!srcsReady(*inst)) {
-            remaining.push_back(seq);
-            continue;
-        }
-        scheduleCompletion(*inst);
-        if (inst->issued) {
-            inst->inIq = false;
-            --budget;
-            if (tracer)
-                tracer->issue(seq, now);
-        } else {
-            remaining.push_back(seq);
-        }
+        iq[keep++] = slot;
     }
-    iq.swap(remaining);
+    iq.erase(iq.begin() + static_cast<std::ptrdiff_t>(keep),
+             iq.begin() + static_cast<std::ptrdiff_t>(i));
 }
 
 void
@@ -544,7 +600,7 @@ O3Core::renameStage()
             break;
         }
         if (cand.meta.isStore() &&
-            storesInFlight >= params.storeQueueEntries) {
+            robStores.size() >= params.storeQueueEntries) {
             ++renameStallLsq;
             renameBlock = RenameBlock::Lsq;
             break;
@@ -579,8 +635,10 @@ O3Core::renameStage()
         else
             width -= rr.repairUops;
 
-        InFlight inst = cand;
+        rob.push_back(std::move(cand));
         fetchQueue.pop_front();
+        InFlight &inst = rob.back();
+        const Slot slot{inst.fetchSeq, &inst};
         inst.rr = rr;
         if (rr.hasDest)
             setTagPending(rr.destTag);
@@ -588,15 +646,14 @@ O3Core::renameStage()
         if (inst.meta.isLoad())
             ++loadsInFlight;
         if (inst.meta.isStore())
-            ++storesInFlight;
+            robStores.push_back(slot);
 
         if (tracer) {
             tracer->rename(inst.fetchSeq, now);
             tracer->dispatch(inst.fetchSeq, now);
         }
         if (needs_iq) {
-            inst.inIq = true;
-            iq.push_back(inst.fetchSeq);
+            iq.push_back(slot);
         } else {
             inst.issued = true;
             inst.completed = true;
@@ -606,7 +663,6 @@ O3Core::renameStage()
                 tracer->complete(inst.fetchSeq, now);
             }
         }
-        rob.push_back(std::move(inst));
         --width;
     }
 }
@@ -792,7 +848,7 @@ O3Core::run()
         }
         accountCycle();
         if (auditor && auditInterval > 0 && now % auditInterval == 0)
-            auditor->check(renamer, "periodic");
+            audit("periodic");
 
         ++now;
         ++cycles;

@@ -169,7 +169,7 @@ class O3Core : public stats::Group
     }
     std::uint32_t lsqSize() const
     {
-        return loadsInFlight + storesInFlight;
+        return loadsInFlight + static_cast<std::uint32_t>(robStores.size());
     }
 
     /** Aggregate counters for reports. */
@@ -195,13 +195,25 @@ class O3Core : public stats::Group
         bool wrongPath = false;
         bool faulting = false;       //!< raises an exception at commit
 
-        bool inIq = false;
         bool issued = false;
         bool completed = false;
         Tick readyAt = 0;            //!< completion (writeback) tick
 
         bool storeExecuted = false;  //!< address computed (stores)
         std::uint64_t fetchSeq = 0;  //!< dense core-local sequence
+    };
+
+    /**
+     * A scheduler-list entry: a ROB slot and its sequence number.  The
+     * ROB is a std::deque, so the pointer stays valid across the
+     * push_back / pop_front / pop_back the core does; a list drops its
+     * younger slots before squashAfter pops their ROB entries, and the
+     * sequence number orders the list without touching the entry.
+     */
+    struct Slot
+    {
+        std::uint64_t fetchSeq;
+        InFlight *inst;
     };
 
     // --- pipeline stages, called once per cycle ---
@@ -222,7 +234,8 @@ class O3Core : public stats::Group
     void flushAll(Cycles extraPenalty);
     void recordFlight(obs::FlightEventKind kind, std::uint64_t seq,
                       const rename::PhysRegTag *tag);
-    InFlight *findBySeq(std::uint64_t fetchSeq);
+    void audit(const char *where);
+    void checkScheduler(const char *where) const;
 
     std::uint32_t tagIndex(const rename::PhysRegTag &tag) const;
     bool tagReady(const rename::PhysRegTag &tag) const;
@@ -257,11 +270,15 @@ class O3Core : public stats::Group
     std::uint64_t nextFetchSeq = 0;
     Addr lastFetchLine = invalidAddr;
 
-    // Backend state.
+    // Backend state.  Each scheduler list is a seq-ordered subsequence
+    // of the ROB, so every stage touches only the entries it can act
+    // on: issue walks the IQ, writeback the executing list and load
+    // disambiguation the older stores.
     std::deque<InFlight> rob;
-    std::vector<std::uint64_t> iq;          //!< fetchSeqs waiting/ready
+    std::vector<Slot> iq;          //!< renamed, not yet issued
+    std::vector<Slot> executing;   //!< issued, not yet completed
+    std::deque<Slot> robStores;    //!< every store in the ROB
     std::uint32_t loadsInFlight = 0;
-    std::uint32_t storesInFlight = 0;
 
     // Scoreboard: ready tick per versioned tag.
     rename::TagIndexer indexer;

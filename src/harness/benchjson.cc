@@ -165,7 +165,9 @@ signedDelta(std::uint64_t base, std::uint64_t cur)
 {
     const long long d = static_cast<long long>(cur) -
                         static_cast<long long>(base);
-    return (d >= 0 ? "+" : "") + std::to_string(d);
+    std::string s = d >= 0 ? "+" : "";
+    s += std::to_string(d);
+    return s;
 }
 
 } // namespace

@@ -173,12 +173,11 @@ regName(RegId reg)
 {
     if (!reg.valid())
         return "-";
-    if (reg.cls == RegClass::Int) {
-        if (reg.idx == zeroReg)
-            return "xzr";
-        return "x" + std::to_string(reg.idx);
-    }
-    return "f" + std::to_string(reg.idx);
+    if (reg.cls == RegClass::Int && reg.idx == zeroReg)
+        return "xzr";
+    std::string name(1, reg.cls == RegClass::Int ? 'x' : 'f');
+    name += std::to_string(reg.idx);
+    return name;
 }
 
 std::string

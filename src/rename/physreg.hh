@@ -36,9 +36,10 @@ struct PhysRegTag
     {
         if (!valid())
             return "-";
-        std::string s = (cls == RegClass::Int ? "P" : "FP") +
-                        std::to_string(reg);
-        s += "." + std::to_string(version);
+        std::string s = cls == RegClass::Int ? "P" : "FP";
+        s += std::to_string(reg);
+        s += '.';
+        s += std::to_string(version);
         return s;
     }
 };

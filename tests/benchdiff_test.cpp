@@ -29,11 +29,11 @@ sampleResult()
     r.buildType = "Release";
     r.threads = 4;
     r.runs.push_back(RunRecord{"int_sort", "baseline", 20000, 25000,
-                               0.01});
+                               0.01, {}});
     r.runs.push_back(RunRecord{"int_sort", "reuse", 20000, 24000,
-                               0.01});
+                               0.01, {}});
     r.runs.push_back(RunRecord{"fp_fir", "baseline", 20000, 26000,
-                               0.02});
+                               0.02, {}});
     r.instsTotal = 60000;
     r.cyclesTotal = 75000;
     r.wallSeconds = 0.5;

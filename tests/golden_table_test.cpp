@@ -73,7 +73,9 @@ TEST_P(GoldenTables, Table3MatchesGolden)
 INSTANTIATE_TEST_SUITE_P(Threads, GoldenTables,
                          ::testing::Values(1u, 2u, 4u),
                          [](const auto &info) {
-                             return "t" + std::to_string(info.param);
+                             std::string name = "t";
+                             name += std::to_string(info.param);
+                             return name;
                          });
 
 } // namespace
