@@ -33,12 +33,15 @@
 #ifndef RRS_BENCH_COMMON_HH
 #define RRS_BENCH_COMMON_HH
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/logging.hh"
@@ -263,11 +266,15 @@ selectedWorkloads()
  * matrix replacing the bench's default scheme/size grid; see
  * harness/sweepmatrix.hh), `--sample [warm:detailed:period]` (SMARTS
  * sampled simulation, default 2048:1024:8192; also RRS_SAMPLE=1 or
- * RRS_SAMPLE=W:D:P), and returns the arguments it did not consume, in
- * order, for the bench's own flags (e.g. fig10's --quick).
+ * RRS_SAMPLE=W:D:P).  A bench with flags of its own (fig10's --quick)
+ * declares them in `benchFlags`; init() returns the ones given, in
+ * order.  `--help` prints the usage line and exits 0; any other
+ * argument prints it to stderr and exits 2, before any simulation, so
+ * a typo never runs the full sweep.
  */
 inline std::vector<std::string>
-init(int argc, char **argv)
+init(int argc, char **argv,
+     std::initializer_list<std::string_view> benchFlags = {})
 {
     if (const char *env = std::getenv("RRS_STATS_JSON"))
         statsJsonPath() = env;
@@ -281,17 +288,34 @@ init(int argc, char **argv)
     // RRS_TELEMETRY exports stays attributable per bench.  argv[0] is
     // used (rather than the finish() name) because sweeps run between
     // init and finish and the label must be set before the first one.
+    std::string label;
     if (argc > 0 && argv[0] != nullptr && *argv[0] != '\0') {
-        std::string label(argv[0]);
+        label = argv[0];
         const std::size_t slash = label.find_last_of('/');
         if (slash != std::string::npos)
             label.erase(0, slash + 1);
         if (!label.empty())
-            sweeper().setTelemetryLabel(std::move(label));
+            sweeper().setTelemetryLabel(label);
     }
+    const char *prog = label.empty() ? "bench" : label.c_str();
+    auto usage = [&](std::FILE *to) {
+        std::fprintf(to,
+                     "usage: %s [--stats-json PATH] [--bench-json DIR] "
+                     "[--prof] [--cap INSTS] [--suite NAME] "
+                     "[--workload SUBSTR] [--matrix FILE] "
+                     "[--sample [WARM:DETAILED:PERIOD]]",
+                     prog);
+        for (std::string_view flag : benchFlags)
+            std::fprintf(to, " [%.*s]", static_cast<int>(flag.size()),
+                         flag.data());
+        std::fprintf(to, "\n");
+    };
     std::vector<std::string> rest;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--stats-json") == 0) {
+        if (std::strcmp(argv[i], "--help") == 0) {
+            usage(stdout);
+            std::exit(0);
+        } else if (std::strcmp(argv[i], "--stats-json") == 0) {
             if (i + 1 >= argc)
                 rrs_fatal("--stats-json needs a path argument");
             statsJsonPath() = argv[++i];
@@ -338,8 +362,15 @@ init(int argc, char **argv)
                 std::strchr(argv[i + 1], ':') != nullptr)
                 spec = argv[++i];
             sampleOverride() = parseSampleSpec(spec);
-        } else {
+        } else if (std::find(benchFlags.begin(), benchFlags.end(),
+                             std::string_view(argv[i])) !=
+                   benchFlags.end()) {
             rest.emplace_back(argv[i]);
+        } else {
+            std::fprintf(stderr, "%s: unknown argument '%s'\n", prog,
+                         argv[i]);
+            usage(stderr);
+            std::exit(2);
         }
     }
     // Parse (and so validate) the matrix eagerly once all overrides are

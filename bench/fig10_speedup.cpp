@@ -20,7 +20,7 @@ using namespace rrs;
 int
 main(int argc, char **argv)
 {
-    const auto rest = bench::init(argc, argv);
+    const auto rest = bench::init(argc, argv, {"--quick"});
     const bool quick = !rest.empty() && rest[0] == "--quick";
     bench::banner("Figure 10: equal-area speedup vs register file size",
                   "SPECfp avg +12.2%..+0.8% (48..112); SPECint avg "

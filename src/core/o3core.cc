@@ -1,6 +1,7 @@
 #include "o3core.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 #include "obs/flightrec.hh"
@@ -19,6 +20,9 @@ O3Core::O3Core(const CoreParams &params, rename::Renamer &renamer,
     : stats::Group("core", parent), params(params), renamer(renamer),
       memSys(mem), bpred(bp), stream(stream),
       wrongPath(params.seed ^ 0xabcdef, 256), rng(params.seed),
+      ring(std::bit_ceil(std::max<std::uint64_t>(
+          1, std::uint64_t{params.robEntries} + params.fetchQueueEntries))),
+      ringMask(ring.size() - 1),
       indexer(renamer.tagIndexer()),
       regReadyAt(indexer.size(), 0),
       fuIntAlu(params.fu.intAlu, 0), fuIntMulDiv(params.fu.intMulDiv, 0),
@@ -240,6 +244,40 @@ O3Core::audit(const char *where)
 void
 O3Core::checkScheduler(const char *where) const
 {
+    auto seqNum = [](std::uint64_t v) {
+        return static_cast<unsigned long long>(v);
+    };
+    // The ring: ROB [head, renamed) then fetch queue [renamed, tail),
+    // each within its bound, in strictly increasing fetch order.
+    if (head > renamed || renamed > tail) {
+        rrs_panic("ring audit failed at %s: head <= renamed <= tail does "
+                  "not hold (head %llu, renamed %llu, tail %llu)",
+                  where, seqNum(head), seqNum(renamed), seqNum(tail));
+    }
+    if (tail - head > ring.size()) {
+        rrs_panic("ring audit failed at %s: tail - head = %llu exceeds "
+                  "the capacity %zu", where, seqNum(tail - head),
+                  ring.size());
+    }
+    if (renamed - head > params.robEntries) {
+        rrs_panic("ring audit failed at %s: ROB size %llu exceeds "
+                  "robEntries %u", where, seqNum(renamed - head),
+                  params.robEntries);
+    }
+    if (tail - renamed > params.fetchQueueEntries) {
+        rrs_panic("ring audit failed at %s: fetch-queue size %llu exceeds "
+                  "fetchQueueEntries %u", where, seqNum(tail - renamed),
+                  params.fetchQueueEntries);
+    }
+    for (std::uint64_t i = head + 1; i < tail; ++i) {
+        if (at(i).fetchSeq <= at(i - 1).fetchSeq) {
+            rrs_panic("ring audit failed at %s: fetchSeq not strictly "
+                      "increasing (seq %llu follows seq %llu at index "
+                      "%llu)", where, seqNum(at(i).fetchSeq),
+                      seqNum(at(i - 1).fetchSeq), seqNum(i));
+        }
+    }
+
     // Each list must be exactly the seq-ordered subsequence of the ROB
     // entries in its state; one ROB walk checks all three.
     std::size_t inIq = 0, inExec = 0, inStores = 0;
@@ -249,12 +287,12 @@ O3Core::checkScheduler(const char *where) const
             slots[pos].fetchSeq != e.fetchSeq) {
             rrs_panic("scheduler audit failed at %s: %s slot %zu does "
                       "not hold ROB entry seq %llu",
-                      where, list, pos,
-                      static_cast<unsigned long long>(e.fetchSeq));
+                      where, list, pos, seqNum(e.fetchSeq));
         }
         ++pos;
     };
-    for (const InFlight &e : rob) {
+    for (std::uint64_t i = head; i < renamed; ++i) {
+        const InFlight &e = at(i);
         if (!e.issued)
             expect(iq, inIq, e, "IQ");
         else if (!e.completed)
@@ -275,22 +313,26 @@ void
 O3Core::squashAfter(std::uint64_t fetchSeq, rename::HistoryToken token,
                     std::uint32_t *recoveries)
 {
-    // Discard un-renamed younger instructions; replay correct-path ones
-    // is unnecessary for mispredicts (all younger are wrong-path) and
-    // handled by the caller for flushes.  The scheduler lists go first:
-    // their slots point at the ROB entries popped below.
+    // Discard the younger ROB entries, youngest first, and the whole
+    // fetch queue (all younger than the ROB); replaying correct-path
+    // ones is unnecessary for mispredicts (all younger are wrong-path)
+    // and handled by the caller for flushes.  The scheduler lists go
+    // first: their slots point at the ROB entries dropped below.  No
+    // slot is overwritten before the next fetch, so the fetch-queue
+    // squashes are traced from the dropped slots at the end.
+    const std::uint64_t queuedFrom = renamed, queuedTo = tail;
     dropYounger(iq, fetchSeq);
     dropYounger(executing, fetchSeq);
     dropYounger(robStores, fetchSeq);
-    while (!rob.empty() && rob.back().fetchSeq > fetchSeq) {
-        const InFlight &victim = rob.back();
+    while (renamed != head && at(renamed - 1).fetchSeq > fetchSeq) {
+        const InFlight &victim = at(--renamed);
         if (victim.meta.isLoad())
             --loadsInFlight;
         ++squashedInsts;
         if (tracer)
             tracer->squash(victim.fetchSeq);
-        rob.pop_back();
     }
+    tail = renamed;
 
     auto produced = [&](const rename::PhysRegTag &tag) {
         return regReadyAt[tagIndex(tag)] <= now;
@@ -304,10 +346,9 @@ O3Core::squashAfter(std::uint64_t fetchSeq, rename::HistoryToken token,
         audit("post-squash");
 
     if (tracer) {
-        for (const InFlight &i : fetchQueue)
-            tracer->squash(i.fetchSeq);
+        for (std::uint64_t i = queuedFrom; i != queuedTo; ++i)
+            tracer->squash(at(i).fetchSeq);
     }
-    fetchQueue.clear();
     lastFetchLine = invalidAddr;
 }
 
@@ -344,66 +385,52 @@ O3Core::resolveBranch(InFlight &inst)
 void
 O3Core::flushAll(Cycles extraPenalty)
 {
-    if (rob.empty() && fetchQueue.empty())
+    if (head == tail)
         return;
 
     // Rewind the branch predictor to the oldest squashed prediction.
-    const InFlight *oldest_pred = nullptr;
-    for (const InFlight &i : rob) {
-        if (i.hasPred) {
-            oldest_pred = &i;
+    for (std::uint64_t i = head; i != tail; ++i) {
+        if (at(i).hasPred) {
+            bpred.squash(at(i).pred);
             break;
         }
     }
-    if (!oldest_pred) {
-        for (const InFlight &i : fetchQueue) {
-            if (i.hasPred) {
-                oldest_pred = &i;
-                break;
-            }
-        }
-    }
-    if (oldest_pred)
-        bpred.squash(oldest_pred->pred);
 
-    // Correct-path instructions must be refetched after the flush.
-    std::vector<trace::DynInst> replayed;
-    for (const InFlight &i : rob) {
-        if (!i.wrongPath)
-            replayed.push_back(i.di);
-    }
-    for (const InFlight &i : fetchQueue) {
-        if (!i.wrongPath)
-            replayed.push_back(i.di);
+    // Correct-path instructions must be refetched after the flush:
+    // queue them ahead of the stream, oldest first.
+    for (std::uint64_t i = tail; i-- != head;) {
+        if (!at(i).wrongPath)
+            replayBuffer.push_front(at(i).di);
     }
 
     std::uint32_t rec = 0;
-    if (!rob.empty()) {
-        rename::HistoryToken token = rob.front().rr.token;
-        std::uint64_t seq = rob.front().fetchSeq;
+    if (head != renamed) {
+        const InFlight &oldest = at(head);
+        rename::HistoryToken token = oldest.rr.token;
+        std::uint64_t seq = oldest.fetchSeq;
         // Squash everything including the head.
         squashAfter(seq == 0 ? 0 : seq - 1, token, &rec);
-        if (!rob.empty()) {
+        if (head != renamed) {
             // Head had fetchSeq 0: squashAfter(0,...) keeps it; finish.
             ++squashedInsts;
-            if (rob.front().meta.isLoad())
+            if (oldest.meta.isLoad())
                 --loadsInFlight;
             if (tracer)
-                tracer->squash(rob.front().fetchSeq);
+                tracer->squash(oldest.fetchSeq);
             iq.clear();
             executing.clear();
             robStores.clear();
-            rob.clear();
+            renamed = tail = head;
             renamer.squashTo(token, [&](const rename::PhysRegTag &tag) {
                 return regReadyAt[tagIndex(tag)] <= now;
             });
         }
     } else {
         if (tracer) {
-            for (const InFlight &i : fetchQueue)
-                tracer->squash(i.fetchSeq);
+            for (std::uint64_t i = renamed; i != tail; ++i)
+                tracer->squash(at(i).fetchSeq);
         }
-        fetchQueue.clear();
+        tail = renamed;
     }
 
     if (flightRec)
@@ -425,10 +452,6 @@ O3Core::flushAll(Cycles extraPenalty)
 
     onWrongPath = false;
     lastFetchLine = invalidAddr;
-
-    // Queue the replayed instructions ahead of the stream.
-    for (auto it = replayed.rbegin(); it != replayed.rend(); ++it)
-        replayBuffer.push_front(*it);
 }
 
 void
@@ -437,7 +460,7 @@ O3Core::commitStage()
     committedThisCycle = 0;
     if (params.interruptInterval > 0 && now >= nextInterrupt) {
         nextInterrupt += params.interruptInterval;
-        if (!rob.empty() || !fetchQueue.empty()) {
+        if (head != tail) {
             ++interruptsTaken;
             flushAll(params.exceptionPenalty +
                      params.interruptServiceCycles);
@@ -446,48 +469,46 @@ O3Core::commitStage()
     }
 
     std::uint32_t n = 0;
-    while (n < params.commitWidth && !rob.empty()) {
-        InFlight &head = rob.front();
-        if (!head.completed)
+    while (n < params.commitWidth && head != renamed) {
+        const InFlight &inst = at(head);
+        if (!inst.completed)
             break;
-        rrs_assert(!head.wrongPath,
+        rrs_assert(!inst.wrongPath,
                    "wrong-path instruction reached commit");
 
-        bool faulted = head.faulting;
-        if (faulted) {
+        const bool faulted = inst.faulting;
+        if (faulted)
             ++exceptionsTaken;
-            head.faulting = false;
-        }
 
-        renamer.commit(head.rr);
+        renamer.commit(inst.rr);
         if (flightRec) {
-            recordFlight(obs::FlightEventKind::Commit, head.fetchSeq,
-                         head.rr.hasDest ? &head.rr.destTag : nullptr);
+            recordFlight(obs::FlightEventKind::Commit, inst.fetchSeq,
+                         inst.rr.hasDest ? &inst.rr.destTag : nullptr);
         }
         if (auditor && auditEveryCommit)
             audit("post-commit");
-        if (head.meta.isStore())
-            memSys.dataAccess(head.di.pc, head.di.effAddr, true, now);
-        if (head.meta.isControl()) {
-            Addr target = head.di.taken ? head.di.nextPc : invalidAddr;
-            bpred.update(head.di.pc, head.meta.branch,
-                         head.di.taken, target,
-                         head.pred.historySnapshot);
+        if (inst.meta.isStore())
+            memSys.dataAccess(inst.di.pc, inst.di.effAddr, true, now);
+        if (inst.meta.isControl()) {
+            Addr target = inst.di.taken ? inst.di.nextPc : invalidAddr;
+            bpred.update(inst.di.pc, inst.meta.branch,
+                         inst.di.taken, target,
+                         inst.pred.historySnapshot);
         }
-        if (head.meta.isLoad())
+        if (inst.meta.isLoad())
             --loadsInFlight;
-        if (head.meta.isStore())
+        if (inst.meta.isStore())
             robStores.pop_front();
 
         ++committed;
         ++committedThisCycle;
         simResult.committedInsts += 1;
-        simResult.committedOps += 1 + head.rr.repairUops;
+        simResult.committedOps += 1 + inst.rr.repairUops;
         lastCommitTick = now;
         ++n;
         if (tracer)
-            tracer->retire(head.fetchSeq, now);
-        rob.pop_front();
+            tracer->retire(inst.fetchSeq, now);
+        ++head;
 
         if (faulted) {
             // Precise exception: everything younger is flushed and the
@@ -580,26 +601,26 @@ O3Core::renameStage()
 {
     renameBlock = RenameBlock::None;
     std::uint32_t width = params.renameWidth;
-    while (width > 0 && !fetchQueue.empty()) {
-        InFlight &cand = fetchQueue.front();
-        if (rob.size() >= params.robEntries) {
+    while (width > 0 && renamed != tail) {
+        InFlight &inst = at(renamed);
+        if (renamed - head >= params.robEntries) {
             ++renameStallRob;
             renameBlock = RenameBlock::Rob;
             break;
         }
-        bool needs_iq = cand.meta.cls != InstClass::Nop;
+        bool needs_iq = inst.meta.cls != InstClass::Nop;
         if (needs_iq && iq.size() >= params.iqEntries) {
             ++renameStallIq;
             renameBlock = RenameBlock::Iq;
             break;
         }
-        if (cand.meta.isLoad() &&
+        if (inst.meta.isLoad() &&
             loadsInFlight >= params.loadQueueEntries) {
             ++renameStallLsq;
             renameBlock = RenameBlock::Lsq;
             break;
         }
-        if (cand.meta.isStore() &&
+        if (inst.meta.isStore() &&
             robStores.size() >= params.storeQueueEntries) {
             ++renameStallLsq;
             renameBlock = RenameBlock::Lsq;
@@ -609,15 +630,18 @@ O3Core::renameStage()
         auto producer_executed = [&](const rename::PhysRegTag &tag) {
             return regReadyAt[tagIndex(tag)] <= now;
         };
-        rename::RenameResult rr =
-            renamer.rename(cand.di, producer_executed);
+        // Renamed in place: the entry joins the ROB by advancing
+        // `renamed` below, so a failed attempt leaves only a stale rr
+        // that the retry overwrites.
+        inst.rr = renamer.rename(inst.di, producer_executed);
+        const rename::RenameResult &rr = inst.rr;
         if (!rr.success) {
             ++renameStallNoReg;
             renameBlock = RenameBlock::NoReg;
             break;
         }
         if (flightRec) {
-            recordFlight(obs::FlightEventKind::Alloc, cand.fetchSeq,
+            recordFlight(obs::FlightEventKind::Alloc, inst.fetchSeq,
                          rr.hasDest ? &rr.destTag : nullptr);
         }
 
@@ -635,11 +659,8 @@ O3Core::renameStage()
         else
             width -= rr.repairUops;
 
-        rob.push_back(std::move(cand));
-        fetchQueue.pop_front();
-        InFlight &inst = rob.back();
+        ++renamed;
         const Slot slot{inst.fetchSeq, &inst};
-        inst.rr = rr;
         if (rr.hasDest)
             setTagPending(rr.destTag);
 
@@ -677,7 +698,7 @@ O3Core::fetchStage()
 
     std::uint32_t fetched = 0;
     while (fetched < params.fetchWidth &&
-           fetchQueue.size() < params.fetchQueueEntries) {
+           tail - renamed < params.fetchQueueEntries) {
         // Pick the next instruction: wrong path, replay, or stream.
         // Stream instructions take their pre-decoded metadata from the
         // packed columns when available; the rare paths (synthetic
@@ -730,11 +751,13 @@ O3Core::fetchStage()
         else if (!onWrongPath)
             replayBuffer.pop_front();
 
-        InFlight inst;
-        inst.di = di;
-        inst.meta = meta;
-        inst.fetchSeq = nextFetchSeq++;
-        inst.wrongPath = onWrongPath;
+        // Built in its ring slot, which is free: the fetch queue and
+        // the ROB are both below their bounds.
+        InFlight &inst = at(tail);
+        inst = InFlight{.di = di,
+                        .meta = meta,
+                        .wrongPath = onWrongPath,
+                        .fetchSeq = nextFetchSeq++};
         inst.di.seq = inst.fetchSeq;
 
         bool group_ends = false;
@@ -786,7 +809,7 @@ O3Core::fetchStage()
 
         if (tracer)
             tracer->fetch(inst.fetchSeq, di, now);
-        fetchQueue.push_back(std::move(inst));
+        ++tail;
         ++fetched;
         if (group_ends)
             break;
@@ -801,7 +824,7 @@ O3Core::accountCycle()
     if (committedThisCycle > 0) {
         cause = CycleCause::Commit;
     } else if (streamDone && !pendingInst && replayBuffer.empty() &&
-               !onWrongPath && fetchQueue.empty()) {
+               !onWrongPath && renamed == tail) {
         // Nothing left to fetch, ever: the backend is draining the
         // tail of the run.
         cause = CycleCause::Drain;
@@ -813,7 +836,7 @@ O3Core::accountCycle()
         cause = CycleCause::RenameIq;
     } else if (renameBlock == RenameBlock::Lsq) {
         cause = CycleCause::RenameLsq;
-    } else if (rob.empty()) {
+    } else if (head == renamed) {
         cause = CycleCause::Frontend;
     } else {
         cause = CycleCause::BackendExec;
@@ -840,7 +863,7 @@ O3Core::run()
         renameStage();
         fetchStage();
 
-        robOccupancy.sample(static_cast<double>(rob.size()));
+        robOccupancy.sample(static_cast<double>(renamed - head));
         iqOccupancy.sample(static_cast<double>(iq.size()));
         if (sampler && samplerInterval > 0 &&
             now % samplerInterval == 0) {
@@ -854,16 +877,16 @@ O3Core::run()
         ++cycles;
         simResult.cycles = now;
 
-        if (streamDone && rob.empty() && fetchQueue.empty() &&
-            replayBuffer.empty() && !pendingInst) {
+        if (streamDone && head == tail && replayBuffer.empty() &&
+            !pendingInst) {
             finished = true;
         }
-        if (!rob.empty() &&
+        if (head != renamed &&
             now - lastCommitTick > params.deadlockThreshold) {
             rrs_panic("core deadlock: no commit for %llu cycles; head %s",
                       static_cast<unsigned long long>(
                           now - lastCommitTick),
-                      rob.front().di.si.toString().c_str());
+                      at(head).di.si.toString().c_str());
         }
     }
     // Every simulated cycle must have been attributed to exactly one

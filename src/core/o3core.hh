@@ -161,7 +161,7 @@ class O3Core : public stats::Group
     // --- structural occupancies, for the interval sampler hook ---
     std::uint32_t robSize() const
     {
-        return static_cast<std::uint32_t>(rob.size());
+        return static_cast<std::uint32_t>(renamed - head);
     }
     std::uint32_t iqSize() const
     {
@@ -183,13 +183,13 @@ class O3Core : public stats::Group
     }
 
   private:
-    /** One in-flight instruction (ROB entry). */
+    /** One in-flight instruction (fetch-queue or ROB entry). */
     struct InFlight
     {
         trace::DynInst di;
         isa::PackedMeta meta;        //!< pre-decoded attribute bits
-        rename::RenameResult rr;
-        bpred::Prediction pred;
+        rename::RenameResult rr{};
+        bpred::Prediction pred{};
         bool hasPred = false;
         bool mispredicted = false;   //!< resolves with a redirect
         bool wrongPath = false;
@@ -205,9 +205,9 @@ class O3Core : public stats::Group
 
     /**
      * A scheduler-list entry: a ROB slot and its sequence number.  The
-     * ROB is a std::deque, so the pointer stays valid across the
-     * push_back / pop_front / pop_back the core does; a list drops its
-     * younger slots before squashAfter pops their ROB entries, and the
+     * ring is allocated once and never moves, so the pointer stays
+     * valid until its entry commits or is squashed; a list drops its
+     * younger slots before squashAfter truncates the ring, and the
      * sequence number orders the list without touching the entry.
      */
     struct Slot
@@ -252,8 +252,24 @@ class O3Core : public stats::Group
 
     Tick now = 0;
 
+    // The fetch queue and the ROB share one fixed ring of in-flight
+    // instructions, addressed by three monotonic indices: the ROB is
+    // [head, renamed) and the fetch queue [renamed, tail).  Fetch
+    // builds each entry in its slot, rename advances `renamed`, commit
+    // advances `head`, and a squash moves `renamed` back over the
+    // squashed ROB entries and `tail` down to it, dropping the fetch
+    // queue; no entry is allocated or copied after the constructor.
+    // The capacity is a power of two >= robEntries + fetchQueueEntries.
+    std::vector<InFlight> ring;
+    std::uint64_t ringMask;
+    std::uint64_t head = 0;
+    std::uint64_t renamed = 0;
+    std::uint64_t tail = 0;
+
+    InFlight &at(std::uint64_t i) { return ring[i & ringMask]; }
+    const InFlight &at(std::uint64_t i) const { return ring[i & ringMask]; }
+
     // Fetch state.
-    std::deque<InFlight> fetchQueue;
     Tick fetchBlockedUntil = 0;
     bool onWrongPath = false;
     Addr wrongPathPc = 0;
@@ -274,7 +290,6 @@ class O3Core : public stats::Group
     // of the ROB, so every stage touches only the entries it can act
     // on: issue walks the IQ, writeback the executing list and load
     // disambiguation the older stores.
-    std::deque<InFlight> rob;
     std::vector<Slot> iq;          //!< renamed, not yet issued
     std::vector<Slot> executing;   //!< issued, not yet completed
     std::deque<Slot> robStores;    //!< every store in the ROB

@@ -5,7 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
+#include "core/o3core.hh"
 #include "harness/experiment.hh"
+#include "obs/pipetrace.hh"
+#include "rename/audit.hh"
+#include "rename/scheme.hh"
 
 namespace {
 
@@ -152,6 +159,62 @@ TEST(PipelineStress, FaultsAndInterruptsTogether)
     auto out = harness::runOn(w, cfg);
     EXPECT_EQ(out.sim.committedInsts, expected);
     expectPinned(out, {38831, {12759, 0, 11643, 0, 0, 0, 11241, 3188}});
+}
+
+TEST(PipelineStress, RingWrapsThroughSquashesAndFlushes)
+{
+    // A 5-entry ROB and a 3-entry fetch queue fill the core's 8-slot
+    // in-flight ring exactly, so it wraps every few cycles.  Branchy
+    // code squashes on mispredicts and a fast timer flushes the whole
+    // window, both while the fetch queue holds entries.  The auditor
+    // checks the ring and the scheduler lists after every cycle,
+    // commit, squash and flush, and panics on the first broken
+    // invariant.
+    const auto &w = workloads::workload("int_sort");
+    const std::uint64_t cap = 20'000;
+    const std::uint64_t expected = emulatedLength(w, cap);
+    RunConfig cfg = harness::reuseConfig(48);
+    cfg.core.robEntries = 5;
+    cfg.core.fetchQueueEntries = 3;
+    cfg.core.iqEntries = 4;
+    cfg.core.loadQueueEntries = 2;
+    cfg.core.storeQueueEntries = 2;
+    cfg.core.interruptInterval = 250;
+
+    auto stream = workloads::makeEmulator(w, cap);
+    mem::MemSystem mem(cfg.mem);
+    bpred::BranchPredictor bp(cfg.bpred);
+    auto renamer = rename::renameScheme(cfg.scheme).makeRenamer(cfg.rename);
+    core::O3Core core(cfg.core, *renamer, mem, bp, *stream);
+    rename::RenameAuditor auditor;
+    core.setAuditor(&auditor, 1, true);
+    std::ostringstream os;
+    obs::PipeTracer tracer(os);
+    core.setTracer(&tracer);
+    const core::SimResult r = core.run();
+    EXPECT_EQ(r.committedInsts, expected);
+    EXPECT_GT(core.mispredictCount(), 200);
+    EXPECT_GT(core.interruptCount(), 50);
+    EXPECT_GT(auditor.auditCount(), 10'000);
+
+    // Squashed records retire at tick 0; those never renamed were
+    // still in the fetch queue when the squash or flush came.
+    std::uint64_t records = 0, robSquashed = 0, queueSquashed = 0;
+    std::istringstream is(os.str());
+    std::string line;
+    bool renamedEntry = false;
+    while (std::getline(is, line)) {
+        if (line.rfind("O3PipeView:fetch:", 0) == 0)
+            ++records;
+        else if (line.rfind("O3PipeView:rename:", 0) == 0)
+            renamedEntry = line != "O3PipeView:rename:0";
+        else if (line.rfind("O3PipeView:retire:0:", 0) == 0)
+            ++(renamedEntry ? robSquashed : queueSquashed);
+    }
+    EXPECT_EQ(records, tracer.emitted());
+    EXPECT_GT(records, 1000 * 8);   // the ring wrapped >1000 times
+    EXPECT_GT(robSquashed, 1000);
+    EXPECT_GT(queueSquashed, 1000);
 }
 
 TEST(PipelineShape, NarrowAndWideCoresBothExact)
