@@ -14,6 +14,7 @@
 #include "common.hh"
 #include "core/o3core.hh"
 #include "rename/scheme.hh"
+#include "trace/recorded.hh"
 #include "trace/synthetic.hh"
 
 using namespace rrs;
@@ -33,7 +34,9 @@ runSynthetic(double singleUse, bool reuseScheme)
     sp.takenFraction = 0.98;
     sp.loadFraction = 0.15;
     sp.storeFraction = 0.05;
-    trace::SyntheticStream stream(sp);
+    // The core reads each instruction in place from a recorded trace.
+    trace::SyntheticStream synthetic(sp);
+    trace::ReplayStream stream(trace::recordStream(synthetic));
 
     mem::MemSystem mem{mem::MemSystemParams{}};
     bpred::BranchPredictor bp{bpred::BPredParams{}};

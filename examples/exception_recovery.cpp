@@ -18,6 +18,7 @@
 #include "mem/memsystem.hh"
 #include "rename/baseline.hh"
 #include "rename/reuse.hh"
+#include "trace/recorded.hh"
 
 using namespace rrs;
 
@@ -63,7 +64,8 @@ main()
     cp.interruptInterval = 4000;       // periodic timer interrupts
 
     auto runWith = [&](rename::Renamer &renamer, const char *label) {
-        emu::Emulator stream(prog, "kernel");
+        emu::Emulator emulator(prog, "kernel");
+        trace::ReplayStream stream(trace::recordStream(emulator));
         mem::MemSystem mem{mem::MemSystemParams{}};
         bpred::BranchPredictor bp{bpred::BPredParams{}};
         core::O3Core core(cp, renamer, mem, bp, stream);

@@ -6,8 +6,9 @@
  *   $ ./examples/quickstart
  *
  * This is the smallest end-to-end use of the library: an assembly
- * kernel, the functional emulator as the instruction stream, the
- * Table I core, and the two renamers the paper compares.
+ * kernel, the functional emulator recorded into a trace as the
+ * instruction stream, the Table I core, and the two renamers the paper
+ * compares.
  */
 
 #include <cstdio>
@@ -19,6 +20,7 @@
 #include "mem/memsystem.hh"
 #include "rename/baseline.hh"
 #include "rename/reuse.hh"
+#include "trace/recorded.hh"
 
 using namespace rrs;
 
@@ -58,7 +60,10 @@ main()
     )");
 
     auto runWith = [&](rename::Renamer &renamer, const char *label) {
-        emu::Emulator stream(prog, "quickstart");
+        // The core reads each instruction in place from a packed
+        // trace, so the live emulator is recorded first.
+        emu::Emulator emulator(prog, "quickstart");
+        trace::ReplayStream stream(trace::recordStream(emulator));
         mem::MemSystem mem{mem::MemSystemParams{}};
         bpred::BranchPredictor bp{bpred::BPredParams{}};
         core::O3Core core(core::CoreParams{}, renamer, mem, bp, stream);

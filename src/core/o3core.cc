@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <new>
 
 #include "common/logging.hh"
 #include "obs/flightrec.hh"
@@ -22,9 +23,13 @@ O3Core::O3Core(const CoreParams &params, rename::Renamer &renamer,
       wrongPath(params.seed ^ 0xabcdef, 256), rng(params.seed),
       ring(std::bit_ceil(std::max<std::uint64_t>(
           1, std::uint64_t{params.robEntries} + params.fetchQueueEntries))),
-      ringMask(ring.size() - 1),
+      ringMask(ring.size() - 1), wrongPathRows(ring.size()),
+      packedSrc(stream.packedView()),
       indexer(renamer.tagIndexer()),
       regReadyAt(indexer.size(), 0),
+      tagProduced([this](const rename::PhysRegTag &tag) {
+          return regReadyAt[tagIndex(tag)] <= now;
+      }),
       fuIntAlu(params.fu.intAlu, 0), fuIntMulDiv(params.fu.intMulDiv, 0),
       fuFpAlu(params.fu.fpAlu, 0), fuFpMulDiv(params.fu.fpMulDiv, 0),
       fuMem(params.fu.memPorts, 0),
@@ -52,47 +57,23 @@ O3Core::O3Core(const CoreParams &params, rename::Renamer &renamer,
       iqOccupancy(this, "iqOccupancy", "IQ occupancy per cycle"),
       cycleCauses(this)
 {
+    if (!packedSrc) {
+        rrs_fatal("core: stream '%s' has no packed view; record it first "
+                  "with trace::recordStream",
+                  stream.name().c_str());
+    }
     if (params.interruptInterval > 0)
         nextInterrupt = params.interruptInterval;
-    // Streams with a packed backing hand out pre-decoded per-record
-    // metadata; everything else re-derives the identical values from
-    // the classifier at fetch, so timing does not depend on the
-    // stream's kind.
-    packedSrc = stream.packedView();
-}
-
-std::uint32_t
-O3Core::tagIndex(const rename::PhysRegTag &tag) const
-{
-    return indexer(tag);
-}
-
-bool
-O3Core::tagReady(const rename::PhysRegTag &tag) const
-{
-    return regReadyAt[tagIndex(tag)] <= now;
-}
-
-void
-O3Core::setTagReady(const rename::PhysRegTag &tag, Tick when)
-{
-    regReadyAt[tagIndex(tag)] = when;
-}
-
-void
-O3Core::setTagPending(const rename::PhysRegTag &tag)
-{
-    regReadyAt[tagIndex(tag)] = ~Tick{0};
 }
 
 namespace {
 
-/** Drop the slots younger than `seq` from a seq-ordered list. */
+/** Drop the slots from `seq` on from a seq-ordered list. */
 template <typename Slots>
 void
-dropYounger(Slots &slots, std::uint64_t seq)
+dropFrom(Slots &slots, std::uint64_t seq)
 {
-    while (!slots.empty() && slots.back().fetchSeq > seq)
+    while (!slots.empty() && slots.back().fetchSeq >= seq)
         slots.pop_back();
 }
 
@@ -101,10 +82,8 @@ dropYounger(Slots &slots, std::uint64_t seq)
 bool
 O3Core::srcsReady(const InFlight &inst) const
 {
-    for (int s = 0; s < inst.rr.numSrcTags; ++s) {
-        const rename::PhysRegTag &tag =
-            inst.rr.srcTags[static_cast<std::size_t>(s)];
-        if (tag.valid() && !tagReady(tag))
+    for (std::uint8_t k = 0; k < inst.numSrcIdx; ++k) {
+        if (regReadyAt[inst.srcIdx[k]] > now)
             return false;
     }
     return true;
@@ -116,7 +95,7 @@ O3Core::loadMayIssue(const InFlight &inst, Tick *forwardReady) const
     *forwardReady = 0;
     // Scan older stores: unknown addresses block; overlapping known
     // addresses forward.
-    const Addr lo = inst.di.effAddr;
+    const Addr lo = inst.di->effAddr;
     const Addr hi = lo + inst.meta.memBytes;
     bool forward = false;
     for (const Slot &slot : robStores) {
@@ -127,7 +106,7 @@ O3Core::loadMayIssue(const InFlight &inst, Tick *forwardReady) const
             return false;   // conservative: address unknown
         if (other.wrongPath)
             continue;       // synthetic store, no real data
-        Addr olo = other.di.effAddr;
+        Addr olo = other.di->effAddr;
         Addr ohi = olo + other.meta.memBytes;
         if (lo < ohi && olo < hi) {
             forward = true;
@@ -195,7 +174,7 @@ O3Core::scheduleCompletion(InFlight &inst)
                     inst.readyAt = std::max(now, fwd) + fu.forwardLat;
                 } else {
                     inst.readyAt = memSys.dataAccess(
-                        inst.di.pc, inst.di.effAddr, false, now);
+                        inst.di->pc, inst.di->effAddr, false, now);
                 }
                 ok = true;
                 break;
@@ -278,6 +257,25 @@ O3Core::checkScheduler(const char *where) const
         }
     }
 
+    // Each entry points at its own instruction: a wrong-path entry at
+    // its side-table slot, a correct-path one at its trace row.  The
+    // correct-path entries hold consecutive rows ending just before
+    // the pending range, so walking youngest first names each row.
+    std::size_t row = pendingFrom;
+    for (std::uint64_t i = tail; i-- != head;) {
+        const InFlight &e = at(i);
+        const trace::DynInst *own =
+            e.wrongPath ? &wrongPathRows[i & ringMask]
+            : row > 0   ? packedSrc->record(--row)
+                        : nullptr;
+        if (e.di != own) {
+            rrs_panic("ring audit failed at %s: entry seq %llu does not "
+                      "point at its own %s", where, seqNum(e.fetchSeq),
+                      e.wrongPath ? "wrong-path side-table slot"
+                                  : "trace row");
+        }
+    }
+
     // Each list must be exactly the seq-ordered subsequence of the ROB
     // entries in its state; one ROB walk checks all three.
     std::size_t inIq = 0, inExec = 0, inStores = 0;
@@ -293,6 +291,20 @@ O3Core::checkScheduler(const char *where) const
     };
     for (std::uint64_t i = head; i < renamed; ++i) {
         const InFlight &e = at(i);
+        // The cached source indices are the valid source tags', in
+        // operand order.
+        std::uint8_t k = 0;
+        bool stale = false;
+        for (std::uint8_t s = 0; s < e.rr.numSrcTags; ++s) {
+            const rename::PhysRegTag &tag = e.rr.srcTags[s];
+            if (tag.valid())
+                stale |= k == e.numSrcIdx || e.srcIdx[k++] != tagIndex(tag);
+        }
+        if (stale || k != e.numSrcIdx) {
+            rrs_panic("scheduler audit failed at %s: ROB entry seq %llu "
+                      "caches stale source scoreboard indices", where,
+                      seqNum(e.fetchSeq));
+        }
         if (!e.issued)
             expect(iq, inIq, e, "IQ");
         else if (!e.completed)
@@ -310,21 +322,18 @@ O3Core::checkScheduler(const char *where) const
 }
 
 void
-O3Core::squashAfter(std::uint64_t fetchSeq, rename::HistoryToken token,
-                    std::uint32_t *recoveries)
+O3Core::squashFrom(std::uint64_t firstSeq, rename::HistoryToken token,
+                   std::uint32_t *recoveries)
 {
-    // Discard the younger ROB entries, youngest first, and the whole
-    // fetch queue (all younger than the ROB); replaying correct-path
-    // ones is unnecessary for mispredicts (all younger are wrong-path)
-    // and handled by the caller for flushes.  The scheduler lists go
-    // first: their slots point at the ROB entries dropped below.  No
-    // slot is overwritten before the next fetch, so the fetch-queue
-    // squashes are traced from the dropped slots at the end.
-    const std::uint64_t queuedFrom = renamed, queuedTo = tail;
-    dropYounger(iq, fetchSeq);
-    dropYounger(executing, fetchSeq);
-    dropYounger(robStores, fetchSeq);
-    while (renamed != head && at(renamed - 1).fetchSeq > fetchSeq) {
+    // Discard the ROB entries from `firstSeq` on, youngest first, and
+    // the whole fetch queue (all younger than the ROB).  The scheduler
+    // lists go first: their slots point at the ROB entries dropped
+    // below.
+    dropFrom(iq, firstSeq);
+    dropFrom(executing, firstSeq);
+    dropFrom(robStores, firstSeq);
+    const std::uint64_t queued = renamed;
+    while (renamed != head && at(renamed - 1).fetchSeq >= firstSeq) {
         const InFlight &victim = at(--renamed);
         if (victim.meta.isLoad())
             --loadsInFlight;
@@ -332,24 +341,40 @@ O3Core::squashAfter(std::uint64_t fetchSeq, rename::HistoryToken token,
         if (tracer)
             tracer->squash(victim.fetchSeq);
     }
-    tail = renamed;
+    dropUnrenamed(queued);
 
-    auto produced = [&](const rename::PhysRegTag &tag) {
-        return regReadyAt[tagIndex(tag)] <= now;
-    };
-    std::uint32_t rec = renamer.squashTo(token, produced);
+    std::uint32_t rec = renamer.squashTo(token, tagProduced);
     if (recoveries)
         *recoveries = rec;
-    if (flightRec)
-        recordFlight(obs::FlightEventKind::Squash, fetchSeq, nullptr);
+    if (flightRec) {
+        recordFlight(obs::FlightEventKind::Squash,
+                     firstSeq > 0 ? firstSeq - 1 : 0, nullptr);
+    }
     if (auditor)
         audit("post-squash");
+    lastFetchLine = invalidAddr;
+}
 
+void
+O3Core::dropUnrenamed(std::uint64_t queued)
+{
+    // Drop [renamed, tail): what a squash just moved `renamed` back
+    // over (already traced), then the fetch queue from `queued` on.
+    // Correct-path rows (only a flush drops any) go back to the front
+    // of the pending range.  No slot is overwritten before the next
+    // fetch, so the dropped slots can still be read here.
     if (tracer) {
-        for (std::uint64_t i = queuedFrom; i != queuedTo; ++i)
+        for (std::uint64_t i = queued; i != tail; ++i)
             tracer->squash(at(i).fetchSeq);
     }
-    lastFetchLine = invalidAddr;
+    for (std::uint64_t i = renamed; i != tail; ++i) {
+        if (!at(i).wrongPath) {
+            pendingFrom =
+                static_cast<std::size_t>(at(i).di - packedSrc->record(0));
+            break;
+        }
+    }
+    tail = renamed;
 }
 
 void
@@ -362,15 +387,15 @@ O3Core::resolveBranch(InFlight &inst)
 
     ++branchMispredicts;
     std::uint32_t rec = 0;
-    squashAfter(inst.fetchSeq, inst.rr.endToken, &rec);
+    squashFrom(inst.fetchSeq + 1, inst.rr.endToken, &rec);
 
     // Repair the speculative predictor state.
     if (kind == BranchKind::Cond) {
-        bpred.correctHistory(inst.pred, inst.di.taken);
+        bpred.correctHistory(inst.pred, inst.di->taken);
     } else {
         bpred.squash(inst.pred);
         // Redo the RAS effect of the resolved instruction itself.
-        auto redo = bpred.predict(inst.di.pc, kind);
+        auto redo = bpred.predict(inst.di->pc, kind);
         (void)redo;
     }
 
@@ -396,42 +421,13 @@ O3Core::flushAll(Cycles extraPenalty)
         }
     }
 
-    // Correct-path instructions must be refetched after the flush:
-    // queue them ahead of the stream, oldest first.
-    for (std::uint64_t i = tail; i-- != head;) {
-        if (!at(i).wrongPath)
-            replayBuffer.push_front(at(i).di);
-    }
-
+    // Everything goes, head included; the correct-path rows are
+    // fetched again.
     std::uint32_t rec = 0;
-    if (head != renamed) {
-        const InFlight &oldest = at(head);
-        rename::HistoryToken token = oldest.rr.token;
-        std::uint64_t seq = oldest.fetchSeq;
-        // Squash everything including the head.
-        squashAfter(seq == 0 ? 0 : seq - 1, token, &rec);
-        if (head != renamed) {
-            // Head had fetchSeq 0: squashAfter(0,...) keeps it; finish.
-            ++squashedInsts;
-            if (oldest.meta.isLoad())
-                --loadsInFlight;
-            if (tracer)
-                tracer->squash(oldest.fetchSeq);
-            iq.clear();
-            executing.clear();
-            robStores.clear();
-            renamed = tail = head;
-            renamer.squashTo(token, [&](const rename::PhysRegTag &tag) {
-                return regReadyAt[tagIndex(tag)] <= now;
-            });
-        }
-    } else {
-        if (tracer) {
-            for (std::uint64_t i = renamed; i != tail; ++i)
-                tracer->squash(at(i).fetchSeq);
-        }
-        tail = renamed;
-    }
+    if (head != renamed)
+        squashFrom(at(head).fetchSeq, at(head).rr.token, &rec);
+    else
+        dropUnrenamed(renamed);
 
     if (flightRec)
         recordFlight(obs::FlightEventKind::Flush, 0, nullptr);
@@ -488,11 +484,11 @@ O3Core::commitStage()
         if (auditor && auditEveryCommit)
             audit("post-commit");
         if (inst.meta.isStore())
-            memSys.dataAccess(inst.di.pc, inst.di.effAddr, true, now);
+            memSys.dataAccess(inst.di->pc, inst.di->effAddr, true, now);
         if (inst.meta.isControl()) {
-            Addr target = inst.di.taken ? inst.di.nextPc : invalidAddr;
-            bpred.update(inst.di.pc, inst.meta.branch,
-                         inst.di.taken, target,
+            Addr target = inst.di->taken ? inst.di->nextPc : invalidAddr;
+            bpred.update(inst.di->pc, inst.meta.branch,
+                         inst.di->taken, target,
                          inst.pred.historySnapshot);
         }
         if (inst.meta.isLoad())
@@ -546,7 +542,7 @@ O3Core::writebackStage()
         if (inst.meta.isStore())
             inst.storeExecuted = true;
         if (inst.rr.hasDest)
-            setTagReady(inst.rr.destTag, now);
+            regReadyAt[tagIndex(inst.rr.destTag)] = now;
         if (inst.meta.isControl()) {
             if (inst.mispredicted) {
                 // Every slot after this one is younger than the branch
@@ -627,18 +623,22 @@ O3Core::renameStage()
             break;
         }
 
-        auto producer_executed = [&](const rename::PhysRegTag &tag) {
-            return regReadyAt[tagIndex(tag)] <= now;
-        };
-        // Renamed in place: the entry joins the ROB by advancing
-        // `renamed` below, so a failed attempt leaves only a stale rr
-        // that the retry overwrites.
-        inst.rr = renamer.rename(inst.di, producer_executed);
+        // Renamed in place: the result is built straight in the slot
+        // (a prvalue initialises it, so nothing is copied), and the
+        // entry joins the ROB by advancing `renamed` below, so a failed
+        // attempt leaves only a stale rr that the retry overwrites.
+        ::new (static_cast<void *>(&inst.rr))
+            rename::RenameResult(renamer.rename(*inst.di, tagProduced));
         const rename::RenameResult &rr = inst.rr;
         if (!rr.success) {
             ++renameStallNoReg;
             renameBlock = RenameBlock::NoReg;
             break;
+        }
+        inst.numSrcIdx = 0;
+        for (std::uint8_t s = 0; s < rr.numSrcTags; ++s) {
+            if (rr.srcTags[s].valid())
+                inst.srcIdx[inst.numSrcIdx++] = tagIndex(rr.srcTags[s]);
         }
         if (flightRec) {
             recordFlight(obs::FlightEventKind::Alloc, inst.fetchSeq,
@@ -652,7 +652,8 @@ O3Core::renameStage()
             Tick src_ready = regReadyAt[tagIndex(rep.fromTag)];
             if (src_ready == ~Tick{0})
                 src_ready = now;   // producer squashed: value archival
-            setTagReady(rep.toTag, std::max(now, src_ready) + rep.uops);
+            regReadyAt[tagIndex(rep.toTag)] =
+                std::max(now, src_ready) + rep.uops;
         }
         if (rr.repairUops >= width)
             width = 1;   // at least finish this instruction
@@ -662,7 +663,7 @@ O3Core::renameStage()
         ++renamed;
         const Slot slot{inst.fetchSeq, &inst};
         if (rr.hasDest)
-            setTagPending(rr.destTag);
+            regReadyAt[tagIndex(rr.destTag)] = ~Tick{0};   // pending
 
         if (inst.meta.isLoad())
             ++loadsInFlight;
@@ -699,45 +700,38 @@ O3Core::fetchStage()
     std::uint32_t fetched = 0;
     while (fetched < params.fetchWidth &&
            tail - renamed < params.fetchQueueEntries) {
-        // Pick the next instruction: wrong path, replay, or stream.
-        // Stream instructions take their pre-decoded metadata from the
-        // packed columns when available; the rare paths (synthetic
-        // wrong path, post-flush replay, unpacked streams) re-derive
-        // the identical values from the one-time classifier.
-        trace::DynInst di;
+        // Pick the next instruction: wrong path, else the next
+        // pending row, else the next stream row.  Either way it is
+        // read where it lives, never copied.
+        const trace::DynInst *di;
         isa::PackedMeta meta;
-        bool from_stream = false;
         if (onWrongPath) {
-            di = wrongPath.generate(wrongPathPc, nextFetchSeq);
-            meta = isa::packedMeta(di.si.op);
-            wrongPathPc = di.nextPc;
+            trace::DynInst &row = wrongPathRows[tail & ringMask];
+            wrongPath.generate(row, wrongPathPc, nextFetchSeq);
+            di = &row;
+            meta = isa::packedMeta(row.si.op);
+            wrongPathPc = row.nextPc;
             ++wrongPathFetched;
-        } else if (!replayBuffer.empty()) {
-            di = replayBuffer.front();
-            meta = isa::packedMeta(di.si.op);
         } else {
-            if (!pendingInst && !streamDone) {
-                const std::size_t idx = stream.cursor();
-                pendingInst = stream.next();
-                if (!pendingInst) {
-                    streamDone = true;
+            if (pendingFrom == pendingTo && !streamDone) {
+                const std::size_t next = stream.cursor();
+                if (stream.advance()) {
+                    pendingFrom = next;
+                    pendingTo = next + 1;
                 } else {
-                    pendingMeta = packedSrc
-                                      ? packedSrc->meta(idx)
-                                      : isa::packedMeta(pendingInst->si.op);
+                    streamDone = true;
                 }
             }
-            if (!pendingInst)
+            if (pendingFrom == pendingTo)
                 break;
-            di = *pendingInst;
-            meta = pendingMeta;
-            from_stream = true;
+            di = packedSrc->record(pendingFrom);
+            meta = packedSrc->meta(pendingFrom);
         }
 
         // Instruction cache: one access per new line.
-        Addr line = di.pc / 64;
+        Addr line = di->pc / 64;
         if (line != lastFetchLine) {
-            Tick done = memSys.fetchAccess(di.pc, now);
+            Tick done = memSys.fetchAccess(di->pc, now);
             lastFetchLine = line;
             if (done > now + 1) {
                 fetchBlockedUntil = done;
@@ -745,40 +739,39 @@ O3Core::fetchStage()
             }
         }
 
-        // Accept the instruction.
-        if (from_stream)
-            pendingInst.reset();
-        else if (!onWrongPath)
-            replayBuffer.pop_front();
-
-        // Built in its ring slot, which is free: the fetch queue and
-        // the ROB are both below their bounds.
+        // Accept the instruction, built in its ring slot, which is
+        // free: the fetch queue and the ROB are both below their
+        // bounds.
+        if (!onWrongPath)
+            ++pendingFrom;
         InFlight &inst = at(tail);
-        inst = InFlight{.di = di,
-                        .meta = meta,
-                        .wrongPath = onWrongPath,
-                        .fetchSeq = nextFetchSeq++};
-        inst.di.seq = inst.fetchSeq;
+        inst.fetchSeq = nextFetchSeq++;
+        inst.readyAt = 0;
+        inst.meta = meta;
+        inst.issued = inst.completed = inst.storeExecuted = false;
+        inst.mispredicted = inst.faulting = inst.hasPred = false;
+        inst.wrongPath = onWrongPath;
+        inst.di = di;
 
         bool group_ends = false;
         if (meta.isControl()) {
-            bpred::Prediction p = bpred.predict(di.pc, meta.branch);
-            inst.pred = p;
+            const bpred::Prediction &p = inst.pred =
+                bpred.predict(di->pc, meta.branch);
             inst.hasPred = true;
             if (!inst.wrongPath) {
                 Addr pred_next =
                     p.taken && p.target != invalidAddr
                         ? p.target
-                        : di.pc + isa::instBytes;
+                        : di->pc + isa::instBytes;
                 // Direct unconditional branches and calls resolve their
                 // target at decode; a BTB miss there is not a
                 // misprediction.
                 const BranchKind kind = meta.branch;
                 if ((kind == BranchKind::Uncond ||
                      kind == BranchKind::Call) && !p.btbHit) {
-                    pred_next = di.nextPc;
+                    pred_next = di->nextPc;
                 }
-                if (pred_next != di.nextPc) {
+                if (pred_next != di->nextPc) {
                     inst.mispredicted = true;
                     if (params.modelWrongPath) {
                         onWrongPath = true;
@@ -789,7 +782,7 @@ O3Core::fetchStage()
                         fetchBlockedUntil = ~Tick{0} - (1u << 20);
                     }
                     group_ends = true;
-                } else if (di.taken) {
+                } else if (di->taken) {
                     group_ends = true;   // taken branches end the group
                 }
             } else if (p.taken && p.target != invalidAddr) {
@@ -805,10 +798,10 @@ O3Core::fetchStage()
         }
 
         if (!inst.wrongPath)
-            wrongPath.observe(di);
+            wrongPath.observe(*di);
 
         if (tracer)
-            tracer->fetch(inst.fetchSeq, di, now);
+            tracer->fetch(inst.fetchSeq, *di, now);
         ++tail;
         ++fetched;
         if (group_ends)
@@ -823,8 +816,8 @@ O3Core::accountCycle()
     CycleCause cause;
     if (committedThisCycle > 0) {
         cause = CycleCause::Commit;
-    } else if (streamDone && !pendingInst && replayBuffer.empty() &&
-               !onWrongPath && renamed == tail) {
+    } else if (streamDone && pendingFrom == pendingTo && !onWrongPath &&
+               renamed == tail) {
         // Nothing left to fetch, ever: the backend is draining the
         // tail of the run.
         cause = CycleCause::Drain;
@@ -877,16 +870,14 @@ O3Core::run()
         ++cycles;
         simResult.cycles = now;
 
-        if (streamDone && head == tail && replayBuffer.empty() &&
-            !pendingInst) {
+        if (streamDone && head == tail && pendingFrom == pendingTo)
             finished = true;
-        }
         if (head != renamed &&
             now - lastCommitTick > params.deadlockThreshold) {
             rrs_panic("core deadlock: no commit for %llu cycles; head %s",
                       static_cast<unsigned long long>(
                           now - lastCommitTick),
-                      at(head).di.si.toString().c_str());
+                      at(head).di->si.toString().c_str());
         }
     }
     // Every simulated cycle must have been attributed to exactly one
@@ -914,12 +905,11 @@ O3Core::discardInFlight()
 {
     // flushAll squashes wrong-path work, rolls the renamer back
     // through its history and recovers shadow cells — exactly the
-    // abandon-the-window semantics needed — but it also queues the
-    // correct-path instructions for refetch; windowed mode re-seeks
-    // the stream to the commit point instead, so drop them.
+    // abandon-the-window semantics needed — but it also rewinds the
+    // pending rows for refetch; windowed mode re-seeks the stream to
+    // the commit point instead, so drop them.
     flushAll(0);
-    replayBuffer.clear();
-    pendingInst.reset();
+    pendingFrom = pendingTo;
     onWrongPath = false;
     streamDone = false;
     finished = false;

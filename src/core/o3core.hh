@@ -24,6 +24,8 @@
 #ifndef RRS_CORE_O3CORE_HH
 #define RRS_CORE_O3CORE_HH
 
+#include <array>
+#include <cstddef>
 #include <deque>
 #include <functional>
 #include <vector>
@@ -183,25 +185,37 @@ class O3Core : public stats::Group
     }
 
   private:
-    /** One in-flight instruction (fetch-queue or ROB entry). */
+    /**
+     * One in-flight instruction (fetch-queue or ROB entry), built field
+     * by field in its ring slot.  The scheduler's fields come first, so
+     * the issue and writeback walks touch only its first 64 bytes.
+     * `di` points at the instruction instead of holding a copy: its row
+     * of the stream's packed trace (correct path) or the entry's own
+     * wrong-path side-table slot.
+     */
     struct InFlight
     {
-        trace::DynInst di;
+        std::uint64_t fetchSeq = 0;  //!< dense core-local sequence
+        Tick readyAt = 0;            //!< completion (writeback) tick
         isa::PackedMeta meta;        //!< pre-decoded attribute bits
-        rename::RenameResult rr{};
-        bpred::Prediction pred{};
-        bool hasPred = false;
+        bool issued = false;
+        bool completed = false;
+        bool storeExecuted = false;  //!< address computed (stores)
         bool mispredicted = false;   //!< resolves with a redirect
         bool wrongPath = false;
         bool faulting = false;       //!< raises an exception at commit
+        bool hasPred = false;
+        std::uint8_t numSrcIdx = 0;  //!< valid entries of srcIdx
+        /** Scoreboard index of each valid source tag, set at rename. */
+        std::array<std::uint32_t, 3> srcIdx{};
+        const trace::DynInst *di = nullptr;
 
-        bool issued = false;
-        bool completed = false;
-        Tick readyAt = 0;            //!< completion (writeback) tick
-
-        bool storeExecuted = false;  //!< address computed (stores)
-        std::uint64_t fetchSeq = 0;  //!< dense core-local sequence
+        rename::RenameResult rr;
+        bpred::Prediction pred;
     };
+    static_assert(offsetof(InFlight, rr) <= 64,
+                  "the scheduler's fields must fit the entry's first "
+                  "64 bytes");
 
     /**
      * A scheduler-list entry: a ROB slot and its sequence number.  The
@@ -229,18 +243,17 @@ class O3Core : public stats::Group
     bool loadMayIssue(const InFlight &inst, Tick *forwardReady) const;
     void scheduleCompletion(InFlight &inst);
     void resolveBranch(InFlight &inst);
-    void squashAfter(std::uint64_t fetchSeq, rename::HistoryToken token,
-                     std::uint32_t *recoveries);
+    void squashFrom(std::uint64_t firstSeq, rename::HistoryToken token,
+                    std::uint32_t *recoveries);
+    void dropUnrenamed(std::uint64_t queued);
     void flushAll(Cycles extraPenalty);
     void recordFlight(obs::FlightEventKind kind, std::uint64_t seq,
                       const rename::PhysRegTag *tag);
     void audit(const char *where);
     void checkScheduler(const char *where) const;
 
-    std::uint32_t tagIndex(const rename::PhysRegTag &tag) const;
-    bool tagReady(const rename::PhysRegTag &tag) const;
-    void setTagReady(const rename::PhysRegTag &tag, Tick when);
-    void setTagPending(const rename::PhysRegTag &tag);
+    std::uint32_t
+    tagIndex(const rename::PhysRegTag &tag) const { return indexer(tag); }
 
     CoreParams params;
     rename::Renamer &renamer;
@@ -269,18 +282,23 @@ class O3Core : public stats::Group
     InFlight &at(std::uint64_t i) { return ring[i & ringMask]; }
     const InFlight &at(std::uint64_t i) const { return ring[i & ringMask]; }
 
+    // Wrong-path instructions, one slot per ring slot: the entry at
+    // ring index i points at wrongPathRows[i & ringMask].
+    std::vector<trace::DynInst> wrongPathRows;
+
     // Fetch state.
     Tick fetchBlockedUntil = 0;
     bool onWrongPath = false;
     Addr wrongPathPc = 0;
-    std::optional<trace::DynInst> pendingInst;  //!< stream lookahead
-    isa::PackedMeta pendingMeta;                //!< meta of pendingInst
-    std::deque<trace::DynInst> replayBuffer;    //!< refetch after flush
 
-    // Pre-decoded column view of the stream (nullptr for live
-    // emulator / synthetic streams, which fall back to the one-time
-    // isa::packedMeta classifier — same values, identical timing).
-    const trace::PackedTrace *packedSrc = nullptr;
+    // The stream's packed trace; correct-path entries point at its rows.
+    const trace::PackedTrace *packedSrc;
+    // Rows taken from the stream but not yet in the ring: normally none
+    // or the one an i-cache miss held back.  The ring's correct-path
+    // entries hold the rows just before pendingFrom, so a flush
+    // rewinds it to the oldest one it squashes (DESIGN §4k).
+    std::size_t pendingFrom = 0;
+    std::size_t pendingTo = 0;
     bool streamDone = false;
     bool finished = false;
     std::uint64_t nextFetchSeq = 0;
@@ -298,6 +316,9 @@ class O3Core : public stats::Group
     // Scoreboard: ready tick per versioned tag.
     rename::TagIndexer indexer;
     std::vector<Tick> regReadyAt;
+    // "Has this tag's value been produced?" for the renamer: built once
+    // here rather than wrapped anew on every rename and squash.
+    std::function<bool(const rename::PhysRegTag &)> tagProduced;
 
     // Functional units: busy-until per pool.
     std::vector<Tick> fuIntAlu, fuIntMulDiv, fuFpAlu, fuFpMulDiv, fuMem;

@@ -9,7 +9,9 @@
  *    success == false with NO side effects; the core retries next
  *    cycle.
  *  - The returned RenameResult is stored in the instruction's ROB entry
- *    and handed back verbatim to commit() or used for squashes.
+ *    and handed back verbatim to commit() or used for squashes.  Each
+ *    implementation returns one named result on every path, so the
+ *    result is built in place in the caller's slot (NRVO).
  *  - squashTo(token) undoes every rename action with history position
  *    >= token (i.e. the squashed instruction and everything younger).
  *  - commit() retires the instruction's rename actions (releases the
@@ -62,7 +64,12 @@ struct RenameResult
         PhysRegTag toTag;     //!< fresh register the value moves to
         std::uint8_t uops;    //!< move micro-ops charged
     };
-    std::array<RepairInfo, 3> repairList{};
+    /**
+     * The first numRepairs entries are valid.  The slots are left
+     * uninitialised, because almost no rename repairs anything and
+     * every rename builds a result.
+     */
+    union { std::array<RepairInfo, 3> repairList; };
     std::uint8_t numRepairs = 0;
 
     /** Destination logical register (for retirement map update). */
@@ -71,6 +78,8 @@ struct RenameResult
     /** History positions covering this instruction's rename actions. */
     HistoryToken token = 0;      //!< history position before renaming
     HistoryToken endToken = 0;   //!< history position after renaming
+
+    RenameResult() {}   // user-provided: leaves repairList unset
 };
 
 /** Rename-stall cause, for the paper's bottleneck accounting. */

@@ -419,10 +419,9 @@ ReuseRenamer::rename(
             repairEvents += -static_cast<double>(res.numRepairs);
             repairUopsTotal += -static_cast<double>(res.repairUops);
             ++renameStalls;
-            RenameResult stall;
-            stall.token = res.token;
-            stall.endToken = res.token;
-            return stall;
+            res = RenameResult{};   // nextToken is back at res.token
+            res.token = res.endToken = nextToken;
+            return res;
         }
         PrtEntry &fe = st.prt[fresh];
         fe.allocated = true;
@@ -547,10 +546,9 @@ ReuseRenamer::rename(
                 if (exhaustedSrc >= 0)
                     shadowExhausted += -1.0;
                 ++renameStalls;
-                RenameResult stall;
-                stall.token = res.token;
-                stall.endToken = res.token;
-                return stall;
+                res = RenameResult{};
+                res.token = res.endToken = nextToken;
+                return res;
             }
             PrtEntry &fe = st.prt[fresh];
             fe.allocated = true;

@@ -48,6 +48,14 @@ class InstStream
     /** Next correct-path instruction, or nullopt at end of stream. */
     virtual std::optional<DynInst> next() = 0;
 
+    /**
+     * Step over the next instruction without copying it out; false at
+     * end of stream.  Consumers with a packed view read the record at
+     * the pre-call cursor() instead.  The default calls next(), so a
+     * wrapper that only overrides next() still sees every step.
+     */
+    virtual bool advance() { return next().has_value(); }
+
     /** Rewind to the beginning of the stream. */
     virtual void reset() = 0;
 
@@ -57,16 +65,14 @@ class InstStream
     /**
      * The pre-decoded structure-of-arrays view of this stream, or
      * nullptr when the stream has no packed backing (live emulator,
-     * synthetic generator).  Consumers that get a view read attributes
-     * straight from the columns; the nullptr fallback re-derives the
-     * same values through isa::packedMeta(), so timing is identical
-     * either way.
+     * synthetic generator).  The timing core needs a view: record an
+     * unpacked stream first (trace::recordStream).
      */
     virtual const PackedTrace *packedView() const { return nullptr; }
 
     /**
-     * Column index of the record the next call to next() will return.
-     * Meaningful only when packedView() is non-null.
+     * Column index of the record the next call to next() or advance()
+     * will step over.  Meaningful only when packedView() is non-null.
      */
     virtual std::size_t cursor() const { return 0; }
 };

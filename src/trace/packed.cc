@@ -70,6 +70,7 @@ PackedTrace::countBits(const std::vector<std::uint64_t> &bv)
 }
 
 PackedTrace::PackedTrace(const std::vector<DynInst> &records)
+    : rows(records.data())
 {
     const auto t0 = std::chrono::steady_clock::now();
     n = records.size();

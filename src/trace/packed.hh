@@ -23,9 +23,9 @@
  * The invariant this buys (DESIGN §4h): decode and classification
  * happen once per captured record, never in the cycle loop.  Packing
  * is pure derivation — every column value is a function of the DynInst
- * records — so a packed trace can always be rebuilt from records (v1
- * trace files) and carries its own FNV-1a digest so codec v2 can prove
- * the stored columns match.
+ * records — so a packed trace can always be rebuilt from records and
+ * carries its own FNV-1a digest so codec v2 can prove the stored
+ * columns match.
  */
 
 #ifndef RRS_TRACE_PACKED_HH
@@ -42,7 +42,10 @@ namespace rrs::trace {
 class PackedTrace
 {
   public:
-    /** Build every column from captured records (single linear pass). */
+    /**
+     * Build every column from captured records (single linear pass).
+     * `records` must outlive the view: record(i) points into it.
+     */
     explicit PackedTrace(const std::vector<DynInst> &records);
 
     std::size_t size() const { return n; }
@@ -53,6 +56,9 @@ class PackedTrace
 
     /** FNV-1a digest over every column, in declaration order. */
     std::uint64_t digest() const { return packedDigest; }
+
+    /** The full record the columns of row i were built from. */
+    const DynInst *record(std::size_t i) const { return rows + i; }
 
     // --- per-record hot columns --------------------------------------
     const isa::PackedMeta &meta(std::size_t i) const { return metaCol[i]; }
@@ -105,6 +111,7 @@ class PackedTrace
     static isa::RegId unpackRegByte(std::uint8_t b);
 
   private:
+    const DynInst *rows;
     std::size_t n = 0;
     double packSeconds = 0.0;
     std::uint64_t packedDigest = 0;

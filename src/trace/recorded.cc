@@ -84,6 +84,19 @@ RecordedTrace::packed() const
     return *packedCols;
 }
 
+TracePtr
+recordStream(InstStream &stream)
+{
+    std::vector<DynInst> insts;
+    while (std::optional<DynInst> di = stream.next())
+        insts.push_back(*di);
+    const std::uint64_t n = insts.size();
+    auto trace = std::make_shared<RecordedTrace>(stream.name(), n, 0,
+                                                 std::move(insts));
+    trace->packed();
+    return trace;
+}
+
 ReplayStream::ReplayStream(TracePtr trace) : src(std::move(trace))
 {
     rrs_assert(src != nullptr, "replay stream needs a trace");
@@ -92,10 +105,19 @@ ReplayStream::ReplayStream(TracePtr trace) : src(std::move(trace))
 std::optional<DynInst>
 ReplayStream::next()
 {
-    if (pos >= src->size())
+    if (!advance())
         return std::nullopt;
+    return (*src)[pos - 1];
+}
+
+bool
+ReplayStream::advance()
+{
+    if (pos >= src->size())
+        return false;
     ++emitted;
-    return (*src)[pos++];
+    ++pos;
+    return true;
 }
 
 const std::string &

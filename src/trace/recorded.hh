@@ -88,9 +88,17 @@ class RecordedTrace
 using TracePtr = std::shared_ptr<const RecordedTrace>;
 
 /**
- * A cursor over a shared RecordedTrace.  next() and reset() touch only
- * the cursor, never the trace, so any number of ReplayStreams can read
- * one trace concurrently.
+ * Record a stream without a packed view (a live emulator, a synthetic
+ * generator) into a packed trace, so the timing core can replay it.
+ * Drains `stream` through next(); the trace carries the stream's name,
+ * its length as the cap and a zero source hash.
+ */
+TracePtr recordStream(InstStream &stream);
+
+/**
+ * A cursor over a shared RecordedTrace.  next(), advance() and reset()
+ * touch only the cursor, never the trace, so any number of
+ * ReplayStreams can read one trace concurrently.
  */
 class ReplayStream : public InstStream
 {
@@ -98,6 +106,7 @@ class ReplayStream : public InstStream
     explicit ReplayStream(TracePtr trace);
 
     std::optional<DynInst> next() override;
+    bool advance() override;
     void reset() override { pos = 0; }
     const std::string &name() const override;
 

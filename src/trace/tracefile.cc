@@ -57,7 +57,7 @@ putU64(std::vector<std::uint8_t> &out, std::uint64_t v)
         out.push_back(static_cast<std::uint8_t>(v >> (8 * b)));
 }
 
-/** The optional-field flags of one record (both format versions). */
+/** The optional-field flags of one record. */
 std::uint8_t
 recordFlags(const DynInst &di)
 {
@@ -155,17 +155,6 @@ class Reader
     const std::uint8_t *end;
     bool good = true;
 };
-
-bool
-unpackReg(std::uint64_t v, isa::RegId &r)
-{
-    std::uint64_t idx = v >> 1;
-    if (idx > invalidRegIndex)
-        return false;
-    r.cls = (v & 1) ? RegClass::Float : RegClass::Int;
-    r.idx = static_cast<LogRegIndex>(idx);
-    return true;
-}
 
 } // namespace
 
@@ -288,10 +277,10 @@ tryReadTraceFile(const std::string &path, std::string &error,
     const std::uint32_t version = r.u32();
     if (fileVersion)
         *fileVersion = version;
-    if (version < 1 || version > traceFileVersion) {
+    if (version != traceFileVersion) {
         error = "unsupported trace version " + std::to_string(version) +
-                " in '" + path + "' (newest supported " +
-                std::to_string(traceFileVersion) + ")";
+                " in '" + path + "' (this build reads version " +
+                std::to_string(traceFileVersion) + " only)";
         return nullptr;
     }
 
@@ -308,149 +297,96 @@ tryReadTraceFile(const std::string &path, std::string &error,
         error = "truncated trace file '" + path + "'";
         return nullptr;
     }
-    // Each record costs at least 9 bytes in either version; reject
-    // counts the file cannot possibly hold before reserving memory.
+    // Each record costs at least 9 bytes; reject counts the file
+    // cannot possibly hold before reserving memory.
     if (count > r.remaining() / 9 + 1) {
         error = "corrupt record count in trace file '" + path + "'";
         return nullptr;
     }
 
-    std::vector<DynInst> insts;
-    if (version == 1) {
-        // Legacy row-major records: one fully packed DynInst at a
-        // time.  The columns are re-derived (silently) after the
-        // records are validated below.
-        insts.reserve(static_cast<std::size_t>(count));
-        std::uint64_t prevSeq = 0;
-        for (std::uint64_t i = 0; i < count; ++i) {
-            DynInst di;
-            di.seq = prevSeq + r.varint();
-            prevSeq = di.seq;
-            di.pc = r.varint();
-            di.nextPc = static_cast<Addr>(
-                static_cast<std::int64_t>(di.pc) + unzigzag(r.varint()));
-            const std::uint8_t flags = r.u8();
-            const std::uint8_t op = r.u8();
-            if (op >=
-                static_cast<std::uint8_t>(isa::Opcode::NumOpcodes)) {
-                error = "corrupt opcode in trace file '" + path +
-                        "' (record " + std::to_string(i) + ")";
-                return nullptr;
-            }
-            di.si.op = static_cast<isa::Opcode>(op);
-            bool regsOk = unpackReg(r.varint(), di.si.dest);
-            for (auto &s : di.si.srcs)
-                regsOk = unpackReg(r.varint(), s) && regsOk;
-            if (!regsOk) {
-                error = "corrupt register id in trace file '" + path +
-                        "' (record " + std::to_string(i) + ")";
-                return nullptr;
-            }
-            di.si.imm = unzigzag(r.varint());
-            di.si.fimm = 0.0;
-            if (flags & flagFpImm) {
-                std::uint64_t fbits = r.u64();
-                std::memcpy(&di.si.fimm, &fbits, sizeof(di.si.fimm));
-            }
-            di.si.target =
-                (flags & flagTarget) ? r.varint() : invalidAddr;
-            di.taken = (flags & flagTaken) != 0;
-            di.effAddr =
-                (flags & flagEffAddr) ? r.varint() : invalidAddr;
-            if (!r.ok()) {
-                error = "truncated trace file '" + path + "' (record " +
-                        std::to_string(i) + " of " +
-                        std::to_string(count) + ")";
-                return nullptr;
-            }
-            insts.push_back(di);
+    // Column-major: refill one column at a time.
+    const auto n = static_cast<std::size_t>(count);
+    std::vector<DynInst> insts(n);
+    std::uint64_t prevSeq = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        insts[i].seq = prevSeq + r.varint();
+        prevSeq = insts[i].seq;
+    }
+    for (std::size_t i = 0; i < n; ++i)
+        insts[i].pc = r.varint();
+    for (std::size_t i = 0; i < n; ++i) {
+        insts[i].nextPc = static_cast<Addr>(
+            static_cast<std::int64_t>(insts[i].pc) +
+            unzigzag(r.varint()));
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint8_t op = r.u8();
+        if (r.ok() &&
+            op >= static_cast<std::uint8_t>(isa::Opcode::NumOpcodes)) {
+            error = "corrupt opcode in trace file '" + path +
+                    "' (record " + std::to_string(i) + ")";
+            return nullptr;
         }
-    } else {
-        // v2 column-major: refill one column at a time.
-        const auto n = static_cast<std::size_t>(count);
-        insts.resize(n);
-        std::uint64_t prevSeq = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            insts[i].seq = prevSeq + r.varint();
-            prevSeq = insts[i].seq;
+        insts[i].si.op = static_cast<isa::Opcode>(op);
+    }
+    std::vector<std::uint8_t> flagsCol(n);
+    for (std::size_t i = 0; i < n; ++i)
+        flagsCol[i] = r.u8();
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint8_t b = r.u8();
+        if (r.ok() && !regByteValid(b)) {
+            error = "corrupt register id in trace file '" + path +
+                    "' (record " + std::to_string(i) + ")";
+            return nullptr;
         }
-        for (std::size_t i = 0; i < n; ++i)
-            insts[i].pc = r.varint();
-        for (std::size_t i = 0; i < n; ++i) {
-            insts[i].nextPc = static_cast<Addr>(
-                static_cast<std::int64_t>(insts[i].pc) +
-                unzigzag(r.varint()));
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::uint8_t op = r.u8();
-            if (r.ok() &&
-                op >= static_cast<std::uint8_t>(isa::Opcode::NumOpcodes)) {
-                error = "corrupt opcode in trace file '" + path +
-                        "' (record " + std::to_string(i) + ")";
-                return nullptr;
-            }
-            insts[i].si.op = static_cast<isa::Opcode>(op);
-        }
-        std::vector<std::uint8_t> flagsCol(n);
-        for (std::size_t i = 0; i < n; ++i)
-            flagsCol[i] = r.u8();
+        insts[i].si.dest = PackedTrace::unpackRegByte(b);
+    }
+    for (unsigned s = 0; s < 3; ++s) {
         for (std::size_t i = 0; i < n; ++i) {
             const std::uint8_t b = r.u8();
             if (r.ok() && !regByteValid(b)) {
-                error = "corrupt register id in trace file '" + path +
-                        "' (record " + std::to_string(i) + ")";
+                error = "corrupt register id in trace file '" +
+                        path + "' (record " + std::to_string(i) +
+                        ")";
                 return nullptr;
             }
-            insts[i].si.dest = PackedTrace::unpackRegByte(b);
+            insts[i].si.srcs[s] = PackedTrace::unpackRegByte(b);
         }
-        for (unsigned s = 0; s < 3; ++s) {
-            for (std::size_t i = 0; i < n; ++i) {
-                const std::uint8_t b = r.u8();
-                if (r.ok() && !regByteValid(b)) {
-                    error = "corrupt register id in trace file '" +
-                            path + "' (record " + std::to_string(i) +
-                            ")";
-                    return nullptr;
-                }
-                insts[i].si.srcs[s] = PackedTrace::unpackRegByte(b);
-            }
-        }
-        for (std::size_t i = 0; i < n; ++i)
-            insts[i].si.imm = unzigzag(r.varint());
-        if (!r.ok()) {
-            error = "truncated trace file '" + path +
-                    "' (inside record columns)";
-            return nullptr;
-        }
+    }
+    for (std::size_t i = 0; i < n; ++i)
+        insts[i].si.imm = unzigzag(r.varint());
+    if (!r.ok()) {
+        error = "truncated trace file '" + path +
+                "' (inside record columns)";
+        return nullptr;
+    }
 
-        // Optional values, one flag group at a time in record order.
-        for (std::size_t i = 0; i < n; ++i) {
-            insts[i].si.fimm = 0.0;
-            if (flagsCol[i] & flagFpImm) {
-                std::uint64_t fbits = r.u64();
-                std::memcpy(&insts[i].si.fimm, &fbits,
-                            sizeof(insts[i].si.fimm));
-            }
+    // Optional values, one flag group at a time in record order.
+    for (std::size_t i = 0; i < n; ++i) {
+        insts[i].si.fimm = 0.0;
+        if (flagsCol[i] & flagFpImm) {
+            std::uint64_t fbits = r.u64();
+            std::memcpy(&insts[i].si.fimm, &fbits,
+                        sizeof(insts[i].si.fimm));
         }
-        for (std::size_t i = 0; i < n; ++i) {
-            insts[i].si.target =
-                (flagsCol[i] & flagTarget) ? r.varint() : invalidAddr;
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-            insts[i].taken = (flagsCol[i] & flagTaken) != 0;
-            insts[i].effAddr =
-                (flagsCol[i] & flagEffAddr) ? r.varint() : invalidAddr;
-        }
-        if (!r.ok()) {
-            error = "truncated trace file '" + path +
-                    "' (inside optional columns)";
-            return nullptr;
-        }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+        insts[i].si.target =
+            (flagsCol[i] & flagTarget) ? r.varint() : invalidAddr;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+        insts[i].taken = (flagsCol[i] & flagTaken) != 0;
+        insts[i].effAddr =
+            (flagsCol[i] & flagEffAddr) ? r.varint() : invalidAddr;
+    }
+    if (!r.ok()) {
+        error = "truncated trace file '" + path +
+                "' (inside optional columns)";
+        return nullptr;
     }
 
     const std::uint64_t storedDigest = r.u64();
-    const std::uint64_t storedPackedDigest =
-        version >= 2 ? r.u64() : 0;
+    const std::uint64_t storedPackedDigest = r.u64();
     if (!r.ok()) {
         error = "truncated trace file '" + path + "' (missing digest "
                 "trailer)";
@@ -465,11 +401,10 @@ tryReadTraceFile(const std::string &path, std::string &error,
         return nullptr;
     }
     // Decode-once invariant (DESIGN §4h): the columns are built here,
-    // at load, never in the cycle loop.  A v1 file re-packs silently;
-    // a v2 file must additionally prove the stored packed digest
-    // matches the rebuilt columns (i.e. the classifier agrees).
+    // at load, never in the cycle loop, and must match the stored
+    // packed digest (i.e. the classifier agrees).
     const PackedTrace &packed = trace->packed();
-    if (version >= 2 && packed.digest() != storedPackedDigest) {
+    if (packed.digest() != storedPackedDigest) {
         error = "packed digest mismatch in trace file '" + path +
                 "': stored " + std::to_string(storedPackedDigest) +
                 ", computed " + std::to_string(packed.digest());

@@ -19,10 +19,10 @@
  *   trailer   u64 record digest (RecordedTrace::digestOf) then
  *             u64 packed-column digest (PackedTrace::digest)
  *
- * Version 1 files (row-major records, varint register ids, single
- * digest trailer) are still read: the loader decodes the legacy rows
- * and silently re-packs the columns.  Unknown future versions fail
- * with the version number and path in the message.
+ * Any other version, including the retired row-major version 1, fails
+ * with "unsupported trace version", the version number and the path in
+ * the message; the trace cache then recaptures the trace and rewrites
+ * the spill file.
  *
  * The reader validates the magic, version and both digests; the
  * fatal-on-error entry points are for tools and tests, the try*
@@ -42,7 +42,7 @@ namespace rrs::trace {
 /** File magic: "RRST" read as a little-endian u32. */
 constexpr std::uint32_t traceFileMagic = 0x54535252u;
 
-/** Current (newest written) format version. */
+/** The format version written and read. */
 constexpr std::uint32_t traceFileVersion = 2;
 
 /** Canonical spill file name for a (workload, cap) pair. */
@@ -67,8 +67,8 @@ bool tryWriteTraceFile(const std::string &path, const RecordedTrace &trace,
  * Read a trace file; returns nullptr and sets `error` on any problem
  * (missing file, bad magic, unsupported version, truncation, corrupt
  * record, digest mismatch) instead of terminating.  On success the
- * returned trace is already packed (columns built and, for v2 files,
- * verified against the stored packed digest).  When `fileVersion` is
+ * returned trace is already packed (columns built and verified
+ * against the stored packed digest).  When `fileVersion` is
  * non-null it receives the version field of the file header whenever
  * the header was readable, even if the read then fails.
  */

@@ -27,24 +27,27 @@ WrongPathGenerator::observe(const DynInst &di)
     }
 }
 
-DynInst
-WrongPathGenerator::generate(Addr pc, InstSeqNum seq)
+void
+WrongPathGenerator::generate(DynInst &out, Addr pc, InstSeqNum seq)
 {
-    DynInst di;
-    di.seq = seq;
-    di.pc = pc;
+    out.seq = seq;
+    out.pc = pc;
+    // Wrong-path control: treated as not-taken so fetch continues
+    // sequentially until the mispredicted branch resolves.
+    out.taken = false;
+    out.nextPc = pc + isa::instBytes;
+    out.effAddr = invalidAddr;
 
     if (history.empty()) {
-        di.si.op = isa::Opcode::Nop;
-        di.nextPc = pc + isa::instBytes;
-        return di;
+        out.si = isa::StaticInst{};   // a nop
+        return;
     }
 
     // Sample a template from recent history and re-randomise registers
     // within its classes, preserving the opcode mix and thus the
     // dest-register and FU-demand statistics of the local code.
-    di.si = history[rng.below(history.size())];
-    isa::StaticInst &si = di.si;
+    out.si = history[rng.below(history.size())];
+    isa::StaticInst &si = out.si;
 
     auto randomReg = [&](RegClass cls) {
         // Avoid xzr so wrong-path instructions really allocate.
@@ -59,16 +62,10 @@ WrongPathGenerator::generate(Addr pc, InstSeqNum seq)
         src = randomReg(src.cls);
     }
 
-    if (di.isLoad() || di.isStore()) {
+    if (out.isLoad() || out.isStore()) {
         // Wrong-path memory ops keep a plausible (but unused) address.
-        di.effAddr = 0x3000000 + (rng.below(1 << 20) & ~Addr{7});
+        out.effAddr = 0x3000000 + (rng.below(1 << 20) & ~Addr{7});
     }
-
-    // Wrong-path control: treated as not-taken so fetch continues
-    // sequentially until the mispredicted branch resolves.
-    di.taken = false;
-    di.nextPc = pc + isa::instBytes;
-    return di;
 }
 
 } // namespace rrs::trace

@@ -33,12 +33,13 @@ class WrongPathGenerator
     void observe(const DynInst &di);
 
     /**
-     * Fabricate one wrong-path instruction at the given PC.  Branches
-     * in the fabricated stream are marked not-taken so wrong-path fetch
-     * runs ahead sequentially (predicted-taken wrong-path branches are
-     * rare and would immediately redirect within the wrong path).
+     * Fabricate one wrong-path instruction at the given PC, overwriting
+     * every field of `out`.  Branches in the fabricated stream are
+     * marked not-taken so wrong-path fetch runs ahead sequentially
+     * (predicted-taken wrong-path branches are rare and would
+     * immediately redirect within the wrong path).
      */
-    DynInst generate(Addr pc, InstSeqNum seq);
+    void generate(DynInst &out, Addr pc, InstSeqNum seq);
 
     /** Clear history (for stream resets). */
     void reset();

@@ -13,6 +13,7 @@
 #include "obs/pipetrace.hh"
 #include "rename/audit.hh"
 #include "rename/scheme.hh"
+#include "trace/recorded.hh"
 
 namespace {
 
@@ -161,6 +162,48 @@ TEST(PipelineStress, FaultsAndInterruptsTogether)
     expectPinned(out, {38831, {12759, 0, 11643, 0, 0, 0, 11241, 3188}});
 }
 
+TEST(PipelineStress, RecordedLiveStreamTimesLikeCapture)
+{
+    // A live emulator recorded with trace::recordStream must time
+    // exactly like the harness's captureTrace of the same workload,
+    // through the flush-heavy paths: faults and interrupts refetch
+    // rows of the recording.
+    const auto &w = workloads::workload("int_hash");
+    const std::uint64_t cap = 20'000;
+    for (const char *scheme : {"baseline", "reuse"}) {
+        SCOPED_TRACE(scheme);
+        RunConfig cfg = harness::schemeConfig(scheme, 48);
+        cfg.core.loadFaultProbability = 0.02;
+        cfg.core.interruptInterval = 1'500;
+        auto timeOn = [&](trace::TracePtr t, core::SimResult &sim) {
+            trace::ReplayStream stream(std::move(t));
+            mem::MemSystem mem(cfg.mem);
+            bpred::BranchPredictor bp(cfg.bpred);
+            auto renamer =
+                rename::renameScheme(cfg.scheme).makeRenamer(cfg.rename);
+            core::O3Core core(cfg.core, *renamer, mem, bp, stream);
+            sim = core.run();
+            EXPECT_GT(core.exceptionCount(), 0);
+            EXPECT_GT(core.interruptCount(), 0);
+            return core.stallBreakdown();
+        };
+        core::SimResult recorded, captured;
+        auto live = workloads::makeEmulator(w, cap);
+        const obs::StallBreakdown a =
+            timeOn(trace::recordStream(*live), recorded);
+        const obs::StallBreakdown b =
+            timeOn(workloads::captureTrace(w, cap), captured);
+        EXPECT_EQ(recorded.committedInsts, emulatedLength(w, cap));
+        EXPECT_EQ(recorded.committedInsts, captured.committedInsts);
+        EXPECT_EQ(recorded.committedOps, captured.committedOps);
+        EXPECT_EQ(recorded.cycles, captured.cycles);
+        for (int c = 0; c < obs::numCycleCauses; ++c) {
+            EXPECT_EQ(a.counts[c], b.counts[c])
+                << obs::cycleCauseName(static_cast<obs::CycleCause>(c));
+        }
+    }
+}
+
 TEST(PipelineStress, RingWrapsThroughSquashesAndFlushes)
 {
     // A 5-entry ROB and a 3-entry fetch queue fill the core's 8-slot
@@ -181,11 +224,11 @@ TEST(PipelineStress, RingWrapsThroughSquashesAndFlushes)
     cfg.core.storeQueueEntries = 2;
     cfg.core.interruptInterval = 250;
 
-    auto stream = workloads::makeEmulator(w, cap);
+    trace::ReplayStream stream(workloads::captureTrace(w, cap));
     mem::MemSystem mem(cfg.mem);
     bpred::BranchPredictor bp(cfg.bpred);
     auto renamer = rename::renameScheme(cfg.scheme).makeRenamer(cfg.rename);
-    core::O3Core core(cfg.core, *renamer, mem, bp, *stream);
+    core::O3Core core(cfg.core, *renamer, mem, bp, stream);
     rename::RenameAuditor auditor;
     core.setAuditor(&auditor, 1, true);
     std::ostringstream os;

@@ -9,6 +9,7 @@
 #include "isa/assembler.hh"
 #include "rename/baseline.hh"
 #include "rename/reuse.hh"
+#include "trace/recorded.hh"
 #include "trace/synthetic.hh"
 
 namespace {
@@ -22,9 +23,10 @@ struct Rig
     bpred::BranchPredictor bp{bpred::BPredParams{}};
 
     core::SimResult
-    run(rename::Renamer &rn, trace::InstStream &stream,
+    run(rename::Renamer &rn, trace::InstStream &live,
         core::CoreParams cp = core::CoreParams{})
     {
+        trace::ReplayStream stream(trace::recordStream(live));
         core::O3Core core(cp, rn, mem, bp, stream);
         return core.run();
     }
@@ -182,7 +184,8 @@ TEST(O3Core, BranchyCodeRunsAndMispredicts)
 {
     rename::BaselineRenamer rn(rename::BaselineParams{128, 128});
     isa::Program p = isa::assemble(branchyProgram);
-    emu::Emulator stream(p, "branchy");
+    emu::Emulator live(p, "branchy");
+    trace::ReplayStream stream(trace::recordStream(live));
     mem::MemSystem mem{mem::MemSystemParams{}};
     bpred::BranchPredictor bp{bpred::BPredParams{}};
     core::CoreParams cp;
@@ -275,7 +278,8 @@ TEST(O3Core, SyntheticStreamRuns)
 {
     trace::SyntheticParams sp;
     sp.numInsts = 20000;
-    trace::SyntheticStream stream(sp);
+    trace::SyntheticStream synthetic(sp);
+    trace::ReplayStream stream(trace::recordStream(synthetic));
     rename::ReuseRenamer rn(rename::ReuseRenamerParams{});
     mem::MemSystem mem{mem::MemSystemParams{}};
     bpred::BranchPredictor bp{bpred::BPredParams{}};
@@ -283,6 +287,19 @@ TEST(O3Core, SyntheticStreamRuns)
     auto res = core.run();
     EXPECT_EQ(res.committedInsts, 20000u);
     EXPECT_GT(res.ipc(), 0.1);
+}
+
+TEST(O3CoreDeathTest, RejectsStreamWithoutPackedView)
+{
+    // Entries point at their trace rows, so a live stream must be
+    // recorded first; the core says so instead of running.
+    isa::Program p = isa::assemble(loopProgram);
+    emu::Emulator live(p, "live");
+    rename::BaselineRenamer rn(rename::BaselineParams{64, 64});
+    Rig rig;
+    EXPECT_EXIT(core::O3Core(core::CoreParams{}, rn, rig.mem, rig.bp, live),
+                ::testing::ExitedWithCode(1),
+                "stream 'live' has no packed view");
 }
 
 TEST(O3Core, TinyRegisterFileStillMakesProgress)

@@ -1,11 +1,13 @@
 // Lockstep golden test: a timing run must not corrupt architecture.
 //
-// The O3 core drives the functional emulator as its instruction stream
-// (execute-at-fetch); wrong-path work is synthetic and squashed, and
-// replays come from the core's internal buffer.  So after a timing run
-// the driving emulator's architectural state — every integer and fp
-// register plus the memory image — must equal that of a fresh,
-// pure-functional emulation of the same workload to the same cap.
+// The O3 core replays a recording of the functional emulator
+// (execute-at-fetch): it reads each instruction in place from the
+// recorded trace, wrong-path work is synthetic and squashed, and a
+// flush refetches rows of the same recording.  So the recording
+// emulator's architectural state — every integer and fp register plus
+// the memory image — must equal that of a fresh, pure-functional
+// emulation of the same workload to the same cap, and the timing run
+// must commit every recorded instruction exactly once.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +20,7 @@
 #include "mem/memsystem.hh"
 #include "rename/baseline.hh"
 #include "rename/reuse.hh"
+#include "trace/recorded.hh"
 #include "workloads/workloads.hh"
 
 namespace {
@@ -40,11 +43,13 @@ void
 checkLockstep(const workloads::Workload &w, rename::Renamer &renamer)
 {
     auto stream = workloads::makeEmulator(w, kInsts);
+    trace::ReplayStream replay(trace::recordStream(*stream));
     mem::MemSystem memsys{mem::MemSystemParams{}};
     bpred::BranchPredictor bp{bpred::BPredParams{}};
-    core::O3Core core(core::CoreParams{}, renamer, memsys, bp, *stream);
+    core::O3Core core(core::CoreParams{}, renamer, memsys, bp, replay);
     auto sim = core.run();
     EXPECT_GT(sim.committedInsts, 0u);
+    EXPECT_EQ(sim.committedInsts, replay.trace().size());
 
     auto oracle = workloads::makeEmulator(w, kInsts);
     oracle->run();

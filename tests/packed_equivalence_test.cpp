@@ -185,10 +185,21 @@ INSTANTIATE_TEST_SUITE_P(
                       "media_sobel", "media_g711", "cog_gmm", "cog_dnn",
                       "cog_knn"));
 
+TEST_P(EveryWorkloadPacked, RecordIsTheTraceRow)
+{
+    // The core's in-flight entries point at records through the packed
+    // view; record(i) must be the trace's own row i, not a copy.
+    const auto &w = workloads::workload(GetParam());
+    trace::TracePtr t = workloads::captureTrace(w, kCap);
+    const PackedTrace &p = t->packed();
+    for (std::size_t i = 0; i < t->size(); ++i)
+        ASSERT_EQ(p.record(i), &(*t)[i]) << i;
+}
+
 TEST(PackedTrace, EmulatorStreamsFallBackToNullView)
 {
-    // A live emulator has no packed columns; the core must get the
-    // documented nullptr and fall back to the one-time classifier.
+    // A live emulator has no packed columns: it reports the documented
+    // nullptr, and the core rejects it until it is recorded.
     const auto &w = workloads::workload("int_crc");
     auto e = workloads::makeEmulator(w, 1'000);
     EXPECT_EQ(e->packedView(), nullptr);

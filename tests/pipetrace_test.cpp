@@ -14,6 +14,7 @@
 #include "isa/assembler.hh"
 #include "obs/pipetrace.hh"
 #include "rename/baseline.hh"
+#include "trace/recorded.hh"
 
 namespace {
 
@@ -56,7 +57,8 @@ TracedRun
 runTraced(const char *src)
 {
     isa::Program p = isa::assemble(src);
-    emu::Emulator stream(p, "prog");
+    emu::Emulator live(p, "prog");
+    trace::ReplayStream stream(trace::recordStream(live));
     mem::MemSystem mem{mem::MemSystemParams{}};
     bpred::BranchPredictor bp{bpred::BPredParams{}};
     rename::BaselineRenamer rn(rename::BaselineParams{128, 128});

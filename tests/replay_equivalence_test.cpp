@@ -138,6 +138,63 @@ TEST(ReplayStream, FreshEmulatorsAgreeWithCapture)
     expectSameSequence(first, t->insts(), "capture");
 }
 
+TEST(ReplayStream, AdvanceStepsLikeNext)
+{
+    // advance() is next() without the copy: the same cursor and
+    // replayed() effect at every step, and a no-op at the end.
+    const auto &w = workloads::workload("int_crc");
+    trace::TracePtr t = workloads::captureTrace(w, 1'000);
+    trace::ReplayStream byNext(t), byAdvance(t);
+    for (std::size_t i = 0; i < t->size(); ++i) {
+        ASSERT_TRUE(byNext.next());
+        ASSERT_TRUE(byAdvance.advance());
+        ASSERT_EQ(byAdvance.cursor(), byNext.cursor()) << i;
+        ASSERT_EQ(byAdvance.replayed(), byNext.replayed()) << i;
+    }
+    EXPECT_EQ(byAdvance.cursor(), t->size());
+    EXPECT_FALSE(byNext.next());
+    EXPECT_FALSE(byAdvance.advance());
+    EXPECT_FALSE(byAdvance.advance());
+    EXPECT_EQ(byAdvance.cursor(), t->size());
+    EXPECT_EQ(byAdvance.replayed(), t->size());
+    EXPECT_EQ(byAdvance.replayed(), byNext.replayed());
+
+    // Like next(), seek() and reset() move the cursor without counting.
+    byAdvance.seek(3);
+    ASSERT_TRUE(byAdvance.advance());
+    EXPECT_EQ(byAdvance.cursor(), 4u);
+    EXPECT_EQ(byAdvance.replayed(), t->size() + 1);
+    byAdvance.reset();
+    EXPECT_EQ(byAdvance.cursor(), 0u);
+}
+
+TEST(ReplayStream, DefaultAdvanceCallsNext)
+{
+    // A stream that only implements next() — a live emulator — steps
+    // through the default advance() exactly as through next().
+    const auto &w = workloads::workload("int_crc");
+    auto e = workloads::makeEmulator(w, 500);
+    std::size_t steps = 0;
+    while (e->advance())
+        ++steps;
+    EXPECT_EQ(steps, workloads::captureTrace(w, 500)->size());
+    EXPECT_FALSE(e->next());
+}
+
+TEST(ReplayStream, RecordStreamMatchesCapture)
+{
+    // Recording a live emulator gives the records captureTrace does,
+    // packed, under the stream's name.
+    const auto &w = workloads::workload("fp_fir");
+    auto e = workloads::makeEmulator(w, 3'000);
+    trace::TracePtr recorded = trace::recordStream(*e);
+    trace::TracePtr captured = workloads::captureTrace(w, 3'000);
+    expectSameSequence(captured->insts(), recorded->insts(), "recorded");
+    EXPECT_EQ(recorded->workload(), w.name);
+    EXPECT_EQ(recorded->packed().digest(), captured->packed().digest());
+    EXPECT_FALSE(e->next());   // drained
+}
+
 TEST(ReplayStream, RecordHookSeesOnlyEmittedInstructions)
 {
     // The record hook must not observe warmup (fast-forwarded)

@@ -134,8 +134,9 @@ TEST(WrongPath, MimicsObservedMix)
     proto.si.srcs[1] = isa::fpReg(3);
     for (int i = 0; i < 64; ++i)
         g.observe(proto);
+    trace::DynInst di;
     for (int i = 0; i < 100; ++i) {
-        auto di = g.generate(0x5000, static_cast<InstSeqNum>(i));
+        g.generate(di, 0x5000, static_cast<InstSeqNum>(i));
         EXPECT_EQ(di.si.op, isa::Opcode::Fmul);
         EXPECT_EQ(di.nextPc, 0x5000u + isa::instBytes);
         EXPECT_FALSE(di.taken);
@@ -146,8 +147,47 @@ TEST(WrongPath, MimicsObservedMix)
 TEST(WrongPath, EmptyHistoryYieldsNops)
 {
     trace::WrongPathGenerator g;
-    auto di = g.generate(0x100, 0);
+    trace::DynInst di;
+    g.generate(di, 0x100, 0);
     EXPECT_EQ(di.si.op, isa::Opcode::Nop);
+}
+
+TEST(WrongPath, GenerateOverwritesEveryFieldOfAReusedSlot)
+{
+    // The core fills one side-table slot per ring slot again and
+    // again; nothing of the previous occupant may leak through.
+    trace::DynInst add;
+    add.si.op = isa::Opcode::Add;
+    add.si.dest = isa::intReg(1);
+    add.si.srcs[0] = isa::intReg(2);
+    add.si.srcs[1] = isa::intReg(3);
+    trace::WrongPathGenerator a(3, 4), b(3, 4);
+    for (int i = 0; i < 4; ++i) {
+        a.observe(add);
+        b.observe(add);
+    }
+
+    trace::DynInst fresh, reused;
+    reused.seq = 99;
+    reused.pc = 0x9000;
+    reused.si.op = isa::Opcode::Ldr;
+    reused.si.imm = 42;
+    reused.si.target = 0x1234;
+    reused.nextPc = 0x9999;
+    reused.taken = true;
+    reused.effAddr = 0x7000;
+    a.generate(fresh, 0x400, 5);
+    b.generate(reused, 0x400, 5);
+    EXPECT_EQ(reused.seq, fresh.seq);
+    EXPECT_EQ(reused.pc, fresh.pc);
+    EXPECT_EQ(reused.si.op, fresh.si.op);
+    EXPECT_EQ(reused.si.dest, fresh.si.dest);
+    EXPECT_EQ(reused.si.srcs, fresh.si.srcs);
+    EXPECT_EQ(reused.si.imm, fresh.si.imm);
+    EXPECT_EQ(reused.si.target, fresh.si.target);
+    EXPECT_EQ(reused.nextPc, fresh.nextPc);
+    EXPECT_FALSE(reused.taken);
+    EXPECT_EQ(reused.effAddr, invalidAddr);
 }
 
 TEST(WrongPath, BranchTemplatesBecomeNotTaken)
@@ -160,7 +200,8 @@ TEST(WrongPath, BranchTemplatesBecomeNotTaken)
     br.taken = true;
     for (int i = 0; i < 8; ++i)
         g.observe(br);
-    auto di = g.generate(0x200, 1);
+    trace::DynInst di;
+    g.generate(di, 0x200, 1);
     EXPECT_EQ(di.si.op, isa::Opcode::Bne);
     EXPECT_FALSE(di.taken);
 }

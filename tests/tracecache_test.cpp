@@ -238,6 +238,46 @@ TEST(TraceCache, CorruptSpillIsRecapturedNotFatal)
     EXPECT_EQ(cache.counters().capturedInsts, kCap);
 }
 
+TEST(TraceCache, LegacyV1SpillIsRecapturedAndRewritten)
+{
+    // A spill written by the retired v1 codec no longer reads; the
+    // cache must recapture the trace and replace the file with one the
+    // current codec reads back.
+    const std::string dir = freshSpillDir("rrs_spill_v1");
+    const auto &w = workloads::workload("int_sieve");
+    const std::string path =
+        dir + "/" + trace::traceFileName(w.name, kCap);
+    trace::writeTraceFile(path, *workloads::captureTrace(w, kCap));
+    std::vector<char> bytes;
+    {
+        std::ifstream in(path, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    }
+    bytes[4] = 1;  // version field follows the 4-byte magic
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+
+    TraceCache cache;
+    cache.setSpillDir(dir);
+    trace::TracePtr t = cache.get(w, kCap);  // must not fatal
+    ASSERT_TRUE(t);
+    EXPECT_EQ(t->size(), kCap);
+    auto c = cache.counters();
+    EXPECT_EQ(c.spillLoads, 0u);
+    EXPECT_EQ(c.capturedInsts, kCap);
+    EXPECT_EQ(c.spillStores, 1u);
+
+    std::string error;
+    std::uint32_t fileVersion = 0;
+    trace::TracePtr back = trace::tryReadTraceFile(path, error, &fileVersion);
+    ASSERT_TRUE(back) << error;
+    EXPECT_EQ(fileVersion, trace::traceFileVersion);
+    EXPECT_EQ(back->digest(), t->digest());
+}
+
 TEST(TraceCache, UnwritableSpillDirDisablesSpillNotFatal)
 {
     TraceCache cache;

@@ -120,102 +120,6 @@ fpBits(double d)
     return raw;
 }
 
-// --- Legacy v1 writer, replicated byte for byte -------------------------
-// The production writer only emits the current version; this pins the
-// v1 row-major wire format independently so the reader's backward-compat
-// path keeps working even though no shipping code writes v1 any more.
-
-void
-v1Varint(std::vector<char> &out, std::uint64_t v)
-{
-    while (v >= 0x80) {
-        out.push_back(static_cast<char>(
-            static_cast<std::uint8_t>(v) | 0x80));
-        v >>= 7;
-    }
-    out.push_back(static_cast<char>(static_cast<std::uint8_t>(v)));
-}
-
-std::uint64_t
-v1Zigzag(std::int64_t v)
-{
-    return (static_cast<std::uint64_t>(v) << 1) ^
-           static_cast<std::uint64_t>(v >> 63);
-}
-
-void
-v1U32(std::vector<char> &out, std::uint32_t v)
-{
-    for (unsigned b = 0; b < 4; ++b)
-        out.push_back(static_cast<char>(
-            static_cast<std::uint8_t>(v >> (8 * b))));
-}
-
-void
-v1U64(std::vector<char> &out, std::uint64_t v)
-{
-    for (unsigned b = 0; b < 8; ++b)
-        out.push_back(static_cast<char>(
-            static_cast<std::uint8_t>(v >> (8 * b))));
-}
-
-std::uint64_t
-v1PackReg(const isa::RegId &r)
-{
-    return (static_cast<std::uint64_t>(r.idx) << 1) |
-           static_cast<std::uint64_t>(r.cls);
-}
-
-std::vector<char>
-v1FileBytes(const trace::RecordedTrace &t)
-{
-    std::vector<char> buf;
-    v1U32(buf, trace::traceFileMagic);
-    v1U32(buf, 1);  // the legacy version
-    v1Varint(buf, t.workload().size());
-    for (char c : t.workload())
-        buf.push_back(c);
-    v1Varint(buf, t.cap());
-    v1U64(buf, t.sourceHash());
-    v1Varint(buf, t.size());
-
-    std::uint64_t prevSeq = 0;
-    for (const DynInst &di : t.insts()) {
-        v1Varint(buf, di.seq - prevSeq);
-        prevSeq = di.seq;
-        v1Varint(buf, di.pc);
-        v1Varint(buf, v1Zigzag(static_cast<std::int64_t>(di.nextPc) -
-                               static_cast<std::int64_t>(di.pc)));
-
-        std::uint64_t fbits = fpBits(di.si.fimm);
-        std::uint8_t flags = 0;
-        if (di.taken)
-            flags |= 1u << 0;
-        if (di.effAddr != invalidAddr)
-            flags |= 1u << 1;
-        if (fbits != 0)
-            flags |= 1u << 2;
-        if (di.si.target != invalidAddr)
-            flags |= 1u << 3;
-        buf.push_back(static_cast<char>(flags));
-
-        buf.push_back(static_cast<char>(
-            static_cast<std::uint8_t>(di.si.op)));
-        v1Varint(buf, v1PackReg(di.si.dest));
-        for (const auto &s : di.si.srcs)
-            v1Varint(buf, v1PackReg(s));
-        v1Varint(buf, v1Zigzag(di.si.imm));
-        if (flags & (1u << 2))
-            v1U64(buf, fbits);
-        if (flags & (1u << 3))
-            v1Varint(buf, di.si.target);
-        if (flags & (1u << 1))
-            v1Varint(buf, di.effAddr);
-    }
-    v1U64(buf, t.digest());  // v1 trailer: record digest only
-    return buf;
-}
-
 void
 expectSameTrace(const trace::RecordedTrace &a, const trace::RecordedTrace &b)
 {
@@ -271,25 +175,27 @@ TEST(TraceFile, RoundTripRealWorkload)
     EXPECT_EQ(n, t->size());
 }
 
-TEST(TraceFile, ReadsLegacyV1AndRepacksSilently)
+TEST(TraceFile, LegacyV1IsAnUnsupportedVersion)
 {
-    // A v1 file (row-major, single-digest trailer, no packed columns)
-    // must read without any warning or error, reproduce every field,
-    // and still serve packed columns — rebuilt on load from the
-    // records, exactly as if the trace had been captured live.
+    // The row-major v1 reader is retired: a file whose header says
+    // version 1 gets the unsupported-version diagnostic, naming the
+    // version and the file, and the header version is still reported
+    // so a tool can say what it found.  (The trace cache recaptures
+    // such a spill; see tracecache_test.)
     trace::TracePtr t = sampleTrace();
     const std::string path = tmpPath("legacy_v1.rrstrace");
-    spit(path, v1FileBytes(*t));
+    trace::writeTraceFile(path, *t);
+    auto bytes = slurp(path);
+    bytes[4] = 1;  // version field follows the 4-byte magic
+    spit(path, bytes);
 
     std::string error;
     std::uint32_t fileVersion = 0;
-    trace::TracePtr back =
-        trace::tryReadTraceFile(path, error, &fileVersion);
-    ASSERT_TRUE(back) << error;
+    EXPECT_FALSE(trace::tryReadTraceFile(path, error, &fileVersion));
     EXPECT_EQ(fileVersion, 1u);
-    expectSameTrace(*t, *back);
-    EXPECT_EQ(back->packed().digest(), t->packed().digest());
-    EXPECT_EQ(back->packed().size(), t->size());
+    EXPECT_NE(error.find("unsupported trace version 1"), std::string::npos)
+        << error;
+    EXPECT_NE(error.find(path), std::string::npos) << error;
 }
 
 TEST(TraceFile, ReadReportsCurrentVersion)

@@ -72,10 +72,7 @@ printInfo(const trace::RecordedTrace &t, const std::string &path,
           std::uint32_t fileVersion)
 {
     std::printf("file:        %s\n", path.c_str());
-    std::printf("version:     %u%s\n", fileVersion,
-                fileVersion < trace::traceFileVersion
-                    ? " (legacy; columns re-packed on load)"
-                    : "");
+    std::printf("version:     %u\n", fileVersion);
     std::printf("workload:    %s\n", t.workload().c_str());
     std::printf("cap:         %llu insts (post-warmup)\n",
                 static_cast<unsigned long long>(t.cap()));
