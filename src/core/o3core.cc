@@ -650,8 +650,12 @@ O3Core::renameStage()
         for (int r = 0; r < rr.numRepairs; ++r) {
             const auto &rep = rr.repairList[static_cast<std::size_t>(r)];
             Tick src_ready = regReadyAt[tagIndex(rep.fromTag)];
+            // ~0: the stale value's producer is older, still in the
+            // ROB and not complete.  Charging it as ready now lets the
+            // repair's consumers issue before the value exists (a
+            // known timing fault, ROADMAP fig10 cost decomposition).
             if (src_ready == ~Tick{0})
-                src_ready = now;   // producer squashed: value archival
+                src_ready = now;
             regReadyAt[tagIndex(rep.toTag)] =
                 std::max(now, src_ready) + rep.uops;
         }

@@ -24,7 +24,12 @@ row(const char *name, InstClass cls, std::uint8_t nsrc, bool dest,
 
 constexpr BranchKind BN = BranchKind::None;
 
-const OpInfo opTable[] = {
+} // namespace
+
+// to_array sizes the table from its rows, so a row count that differs
+// from Opcode::NumOpcodes does not compile.
+const std::array<OpInfo, static_cast<std::size_t>(Opcode::NumOpcodes)>
+    detail::opTable = std::to_array<OpInfo>({
     // name     class              src dst dcls s0 s1 s2 imm  fimm branch          mem
     row("add",  InstClass::IntAlu,  2, true,  I, I, I, I, false, false, BN, 0),
     row("sub",  InstClass::IntAlu,  2, true,  I, I, I, I, false, false, BN, 0),
@@ -98,21 +103,14 @@ const OpInfo opTable[] = {
     row("fle",  InstClass::FpAlu,   2, true,  I, F, F, F, false, false, BN, 0),
     row("nop",  InstClass::Nop,     0, false, I, I, I, I, false, false, BN, 0),
     row("halt", InstClass::Nop,     0, false, I, I, I, I, false, false, BN, 0),
-};
+});
 
-static_assert(sizeof(opTable) / sizeof(opTable[0]) ==
-                  static_cast<std::size_t>(Opcode::NumOpcodes),
-              "opcode table out of sync with Opcode enum");
-
-} // namespace
-
-const OpInfo &
-opInfo(Opcode op)
+void
+detail::badOpcode(Opcode op)
 {
-    auto idx = static_cast<std::size_t>(op);
-    rrs_assert(idx < static_cast<std::size_t>(Opcode::NumOpcodes),
-               "bad opcode");
-    return opTable[idx];
+    rrs_panic("bad opcode %u (the table has %zu)",
+              static_cast<unsigned>(op),
+              static_cast<std::size_t>(Opcode::NumOpcodes));
 }
 
 const PackedMeta &
@@ -128,7 +126,7 @@ packedMeta(Opcode op)
                 t{};
             for (std::size_t i = 0;
                  i < static_cast<std::size_t>(Opcode::NumOpcodes); ++i) {
-                const OpInfo &info = opTable[i];
+                const OpInfo &info = detail::opTable[i];
                 PackedMeta m;
                 if (info.cls == InstClass::Load)
                     m.attrs |= instattr::load;
@@ -158,7 +156,7 @@ opcodeFromName(std::string_view name)
         std::map<std::string_view, Opcode> m;
         for (std::size_t i = 0;
              i < static_cast<std::size_t>(Opcode::NumOpcodes); ++i) {
-            m.emplace(opTable[i].name, static_cast<Opcode>(i));
+            m.emplace(detail::opTable[i].name, static_cast<Opcode>(i));
         }
         return m;
     }();

@@ -145,8 +145,30 @@ struct OpInfo
     std::uint8_t memBytes;  //!< memory access size (0 if not a memory op)
 };
 
-/** Look up the static properties of an opcode. */
-const OpInfo &opInfo(Opcode op);
+namespace detail {
+/** The opcode table, one row per Opcode (defined in isa.cc). */
+extern const std::array<OpInfo,
+                        static_cast<std::size_t>(Opcode::NumOpcodes)>
+    opTable;
+
+/** Cold path of opInfo(): panics naming the out-of-range opcode. */
+[[noreturn]] void badOpcode(Opcode op);
+} // namespace detail
+
+/**
+ * Look up the static properties of an opcode: one indexed load, inline
+ * because every renamed, emulated and decoded instruction asks.  Trace
+ * parsers reject unknown opcode bytes before an Opcode exists, so the
+ * range check only guards against a corrupted in-memory instruction.
+ */
+inline const OpInfo &
+opInfo(Opcode op)
+{
+    const auto idx = static_cast<std::size_t>(op);
+    if (idx >= static_cast<std::size_t>(Opcode::NumOpcodes)) [[unlikely]]
+        detail::badOpcode(op);
+    return detail::opTable[idx];
+}
 
 /** Assembly mnemonic of an opcode. */
 inline const char *

@@ -71,6 +71,18 @@ add(AuditReport &report, AuditInvariant inv, RegClass cls,
         AuditViolation{inv, cls, phys, std::move(detail)});
 }
 
+/** The live token span [base, end) must fit the history ring. */
+template <typename Entry>
+void
+auditHistory(AuditReport &report, const HistoryRing<Entry> &history)
+{
+    if (history.size() > history.capacity())
+        add(report, AuditInvariant::HistorySize, RegClass::Int,
+            invalidRegIndex,
+            formatString("history spans %zu tokens in a ring of %zu",
+                         history.size(), history.capacity()));
+}
+
 } // namespace
 
 RenameAuditor::RenameAuditor(stats::Group *parent)
@@ -243,18 +255,7 @@ RenameAuditor::audit(const ReuseRenamer &rn)
         }
     }
 
-    // History-deque accounting.
-    const std::uint64_t expectHist = rn.nextToken - rn.historyBase;
-    if (rn.history.size() != expectHist) {
-        add(report, AuditInvariant::HistorySize, RegClass::Int,
-            invalidRegIndex,
-            formatString("history holds %zu entries but tokens span "
-                         "%llu (base %llu, next %llu)",
-                         rn.history.size(),
-                         static_cast<unsigned long long>(expectHist),
-                         static_cast<unsigned long long>(rn.historyBase),
-                         static_cast<unsigned long long>(rn.nextToken)));
-    }
+    auditHistory(report, rn.history);
 
     violationsFound += static_cast<double>(report.violations.size());
     return report;
@@ -288,9 +289,11 @@ RenameAuditor::audit(const BaselineRenamer &rn)
             occupy(p, "free list");
         for (LogRegIndex r = 0; r < isa::numLogRegs; ++r)
             occupy(st.map[r], "spec map");
-        for (const auto &h : rn.history) {
+        for (HistoryToken t = rn.history.baseToken();
+             t < rn.history.endToken(); ++t) {
+            const auto &h = rn.history.at(t);
             if (h.cls == cls)
-                occupy(h.releaseAtCommit, "history release slot");
+                occupy(h.oldPhys, "history release slot");
         }
         for (PhysRegIndex p = 0; p < total; ++p) {
             if (seen[p] != 1) {
@@ -302,17 +305,7 @@ RenameAuditor::audit(const BaselineRenamer &rn)
         }
     }
 
-    const std::uint64_t expectHist = rn.nextToken - rn.historyBase;
-    if (rn.history.size() != expectHist) {
-        add(report, AuditInvariant::HistorySize, RegClass::Int,
-            invalidRegIndex,
-            formatString("history holds %zu entries but tokens span "
-                         "%llu (base %llu, next %llu)",
-                         rn.history.size(),
-                         static_cast<unsigned long long>(expectHist),
-                         static_cast<unsigned long long>(rn.historyBase),
-                         static_cast<unsigned long long>(rn.nextToken)));
-    }
+    auditHistory(report, rn.history);
 
     violationsFound += static_cast<double>(report.violations.size());
     return report;

@@ -41,7 +41,7 @@ enum class AuditInvariant : std::uint8_t {
     CounterCapacity,  //!< version counter > bank shadow capacity
     CounterWidth,     //!< version counter overflows its N-bit field
     CounterAllocated, //!< counter > 0 on an unallocated register
-    HistorySize,      //!< history size != nextToken - historyBase
+    HistorySize,      //!< history token span does not fit its ring
     StaleBit,         //!< stale flag inconsistent with the PRT counter
     VersionRange,     //!< a map entry names a version beyond the counter
     ReadBitUses,      //!< read bit inconsistent with use count

@@ -52,17 +52,13 @@ BaselineRenamer::rename(
     const std::function<bool(const PhysRegTag &)> & /* producerExecuted */)
 {
     RenameResult res;
-    res.token = nextToken;
+    res.token = res.endToken = history.endToken();
 
     const bool writes = writesReg(di);
-    if (writes) {
-        ClassState &st = state(di.si.dest.cls);
-        if (st.freeList.empty()) {
-            ++renameStalls;
-            res.success = false;
-            res.endToken = nextToken;
-            return res;
-        }
+    if (writes && state(di.si.dest.cls).freeList.empty()) {
+        ++renameStalls;
+        res.success = false;
+        return res;
     }
 
     // Rename sources through the map table.
@@ -85,48 +81,32 @@ BaselineRenamer::rename(
 
         PhysRegIndex old = st.map[di.si.dest.idx];
         st.map[di.si.dest.idx] = fresh;
-        history.push_back(HistoryEntry{di.si.dest.cls, di.si.dest.idx,
-                                       old, fresh, old});
-        ++nextToken;
-        if (history.size() > historyPeakSinceShrink)
-            historyPeakSinceShrink = history.size();
-        if (history.size() > historyPeakCount) {
-            historyPeakCount = history.size();
-            historyPeak = static_cast<double>(historyPeakCount);
-        }
+        if (history.pushBack(
+                HistoryEntry{di.si.dest.cls, di.si.dest.idx, old, fresh}))
+            historyPeak = static_cast<double>(history.peak());
 
         res.hasDest = true;
         res.destTag = PhysRegTag{di.si.dest.cls, fresh, 0};
     }
 
     res.success = true;
-    res.endToken = nextToken;
+    res.endToken = history.endToken();
     return res;
 }
 
 void
 BaselineRenamer::commit(const RenameResult &result)
 {
-    // Drop (and retire) this instruction's history entries; commits are
-    // in order, so they sit at the front of the buffer.
-    rrs_assert(result.endToken >= historyBase,
-               "commit of already-collected history");
-    while (historyBase < result.endToken) {
-        rrs_assert(!history.empty(), "history underflow at commit");
-        const HistoryEntry &e = history.front();
-        // The previous mapping of the redefined logical register is now
-        // unreachable: release it (release-on-commit).
-        state(e.cls).freeList.push_back(e.releaseAtCommit);
+    // Retire this instruction's history entries; commits are in order,
+    // so they sit at the front of the buffer.  The previous mapping of
+    // each redefined logical register is now unreachable: release it
+    // (release-on-commit).
+    for (HistoryToken t = history.baseToken(); t < result.endToken; ++t) {
+        const HistoryEntry &e = history.at(t);
+        state(e.cls).freeList.push_back(e.oldPhys);
         ++releases;
-        history.pop_front();
-        ++historyBase;
     }
-    // Bound committed storage after a drain, as in ReuseRenamer.
-    if (history.empty() &&
-        historyPeakSinceShrink > historyShrinkThreshold) {
-        history.shrink_to_fit();
-        historyPeakSinceShrink = 0;
-    }
+    history.popFrontTo(result.endToken);
 }
 
 std::uint32_t
@@ -134,14 +114,12 @@ BaselineRenamer::squashTo(
     HistoryToken token,
     const std::function<bool(const PhysRegTag &)> & /* produced */)
 {
-    rrs_assert(token >= historyBase, "squash into committed history");
-    while (nextToken > token) {
-        rrs_assert(!history.empty(), "history underflow at squash");
+    rrs_assert(token >= history.baseToken(), "squash into committed history");
+    while (history.endToken() > token) {
         const HistoryEntry &e = history.back();
         state(e.cls).map[e.logReg] = e.oldPhys;
         state(e.cls).freeList.push_back(e.newPhys);
-        history.pop_back();
-        --nextToken;
+        history.popBack();
     }
     return 0;   // the baseline never needs shadow recovery
 }

@@ -10,9 +10,9 @@
 #ifndef RRS_RENAME_BASELINE_HH
 #define RRS_RENAME_BASELINE_HH
 
-#include <deque>
 #include <vector>
 
+#include "rename/history.hh"
 #include "rename/renamer.hh"
 
 namespace rrs::rename {
@@ -43,7 +43,11 @@ class BaselineRenamer : public Renamer
         HistoryToken token,
         const std::function<bool(const PhysRegTag &)> &produced =
             {}) override;
-    HistoryToken historyPosition() const override { return nextToken; }
+    HistoryToken
+    historyPosition() const override
+    {
+        return history.endToken();
+    }
 
     std::uint32_t freeRegs(RegClass cls) const override;
     std::uint32_t totalRegs(RegClass cls) const override;
@@ -57,17 +61,17 @@ class BaselineRenamer : public Renamer
     double stallCount() const { return renameStalls.value(); }
 
     /** Largest number of history entries ever held at once. */
-    std::uint64_t historyPeakEntries() const { return historyPeakCount; }
+    std::uint64_t historyPeakEntries() const { return history.peak(); }
 
   private:
     friend class RenameAuditor;
+    friend struct RenameStateAccess;   // tests: whole-state comparison
     struct HistoryEntry
     {
         RegClass cls;
         LogRegIndex logReg;
-        PhysRegIndex oldPhys;
+        PhysRegIndex oldPhys;   //!< restored on squash, freed on commit
         PhysRegIndex newPhys;
-        PhysRegIndex releaseAtCommit;  //!< == oldPhys (freed on commit)
     };
 
     struct ClassState
@@ -89,13 +93,7 @@ class BaselineRenamer : public Renamer
     BaselineParams params;
     ClassState classes[numRegClasses];
 
-    std::deque<HistoryEntry> history;
-    HistoryToken historyBase = 0;   //!< token of history.front()
-    HistoryToken nextToken = 0;
-    std::uint64_t historyPeakCount = 0;      //!< lifetime peak size
-    std::size_t historyPeakSinceShrink = 0;  //!< peak since last trim
-    /** Committed-storage bound; see ReuseRenamer's twin. */
-    static constexpr std::size_t historyShrinkThreshold = 4096;
+    HistoryRing<HistoryEntry> history;
 
     stats::Scalar allocations;
     stats::Scalar historyPeak;

@@ -1,6 +1,5 @@
 #include "predictor.hh"
 
-#include "common/bitutils.hh"
 #include "common/logging.hh"
 
 namespace rrs::rename {
@@ -15,19 +14,6 @@ RegisterTypePredictor::RegisterTypePredictor(
                  "entries incremented on shadow exhaustion")
 {
     rrs_assert(!table.empty(), "predictor needs at least one entry");
-}
-
-std::uint32_t
-RegisterTypePredictor::indexFor(Addr pc) const
-{
-    return static_cast<std::uint32_t>(hashMix(pc >> 2) % table.size());
-}
-
-std::uint8_t
-RegisterTypePredictor::predict(Addr pc) const
-{
-    predictions += 1;
-    return table[indexFor(pc)];
 }
 
 void

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/bitutils.hh"
 #include "common/types.hh"
 #include "stats/stats.hh"
 
@@ -41,10 +42,25 @@ class RegisterTypePredictor : public stats::Group
                                    stats::Group *parent = nullptr);
 
     /** Table index for an instruction PC. */
-    std::uint32_t indexFor(Addr pc) const;
+    std::uint32_t
+    indexFor(Addr pc) const
+    {
+        return static_cast<std::uint32_t>(hashMix(pc >> 2) % table.size());
+    }
 
-    /** Predicted bank (0..3 == number of shadow cells) for a PC. */
-    std::uint8_t predict(Addr pc) const;
+    /** Predicted bank (0..3 == shadow cells) at an indexFor() index. */
+    std::uint8_t
+    predictAt(std::uint32_t index) const
+    {
+        predictions += 1;
+        return table[index];
+    }
+
+    /** Predicted bank for a PC: predictAt(indexFor(pc)). */
+    std::uint8_t predict(Addr pc) const { return predictAt(indexFor(pc)); }
+
+    /** Allocation-type predictions made so far. */
+    double predictionCount() const { return predictions.value(); }
 
     /** Raw entry access by index (the PRT remembers the index). */
     std::uint8_t value(std::uint32_t index) const

@@ -82,12 +82,6 @@ struct RenameResult
     RenameResult() {}   // user-provided: leaves repairList unset
 };
 
-/** Rename-stall cause, for the paper's bottleneck accounting. */
-enum class RenameStall : std::uint8_t {
-    None,
-    NoFreeReg,
-};
-
 /**
  * Release-time classification of a scheme's reuse predictions (paper
  * Fig. 12).  Schemes without a reuse predictor report all zeros.

@@ -85,12 +85,6 @@ ReuseRenamer::freeRegs(RegClass cls) const
     return n;
 }
 
-bool
-ReuseRenamer::anyFree(RegClass cls) const
-{
-    return freeRegs(cls) > 0;
-}
-
 std::uint32_t
 ReuseRenamer::bankInUse(RegClass cls, int bank) const
 {
@@ -135,43 +129,32 @@ ReuseRenamer::committedShadowValues() const
 }
 
 PhysRegIndex
-ReuseRenamer::allocFromBank(RegClass cls, std::uint8_t wantBank)
+ReuseRenamer::allocFromBank(RegClass cls, std::uint32_t predIdx)
 {
     ClassState &st = state(cls);
+    const int wantBank = typePred.predictAt(predIdx);
     // Closest-first search in shadow-capacity order; ties resolved
     // towards cheaper banks (fewer shadow cells).
     for (int dist = 0; dist < 4; ++dist) {
         for (int sign : {-1, +1}) {
-            int b = static_cast<int>(wantBank) + sign * dist;
+            int b = wantBank + sign * dist;
             if (b < 0 || b > 3)
                 continue;
             auto &fl = st.freeLists[static_cast<size_t>(b)];
             if (!fl.empty()) {
                 PhysRegIndex phys = fl.back();
                 fl.pop_back();
+                st.prt[phys].allocated = true;
+                st.prt[phys].predIndex = predIdx;
                 return phys;
             }
             if (dist == 0)
                 break;   // +0 and -0 are the same bank
         }
     }
-    // Exhausted: hand the caller an invalid index instead of dying.
-    // rename() unwinds its partial work and reports a structural
-    // stall, which the core charges to renameStallNoReg.
-    return invalidRegIndex;
-}
-
-void
-ReuseRenamer::pushHistory(const HistoryEntry &h)
-{
-    history.push_back(h);
-    ++nextToken;
-    if (history.size() > historyPeakSinceShrink)
-        historyPeakSinceShrink = history.size();
-    if (history.size() > historyPeakCount) {
-        historyPeakCount = history.size();
-        historyPeak = static_cast<double>(historyPeakCount);
-    }
+    // rename() stalls up front unless every allocation it makes has a
+    // free register, and nothing in between takes one.
+    rrs_panic("%s register file exhausted mid-rename", regClassName(cls));
 }
 
 void
@@ -267,44 +250,45 @@ ReuseRenamer::rename(
     const std::function<bool(const PhysRegTag &)> &producerExecuted)
 {
     RenameResult res;
-    res.token = nextToken;
-    res.endToken = nextToken;
+    res.token = res.endToken = history.endToken();
 
     const bool writes = writesReg(di);
     const isa::RegId destReg = di.si.dest;
+    const std::uint8_t numOperands = di.si.numSrcs();
 
     // ---- Phase 1: read-only feasibility and decision making ----
     struct SrcInfo
     {
         isa::RegId reg;
-        MapEntry cur;
-        bool stale = false;
-        bool wasFirstConsumer = false;
-        std::array<int, 3> slots{};   //!< operand slots using this reg
-        int numSlots = 0;
+        MapEntry cur;          //!< cur.stale: the source needs a repair
+        bool wasFirstConsumer;
+        std::uint8_t numSlots;
+        std::uint8_t slots[3];   //!< operand slots naming this register
     };
-    std::array<SrcInfo, 3> srcs{};
+    // Each used entry is written before it is read: no zero-fill.
+    union Scratch
+    {
+        Scratch() {}
+        SrcInfo srcs[3];
+    } scratch;
+    auto &srcs = scratch.srcs;
     int numSrcs = 0;
 
-    for (int s = 0; s < di.si.numSrcs(); ++s) {
+    for (std::uint8_t s = 0; s < numOperands; ++s) {
         if (!readsReg(di, s))
             continue;
-        const isa::RegId reg = di.si.srcs[static_cast<std::size_t>(s)];
-        bool merged = false;
-        for (int t = 0; t < numSrcs; ++t) {
-            if (srcs[static_cast<size_t>(t)].reg == reg) {
-                auto &info = srcs[static_cast<size_t>(t)];
-                info.slots[static_cast<size_t>(info.numSlots++)] = s;
-                merged = true;
-                break;
-            }
-        }
-        if (merged)
+        const isa::RegId reg = di.si.srcs[s];
+        int t = 0;
+        while (t < numSrcs && srcs[t].reg != reg)
+            ++t;
+        SrcInfo &info = srcs[t];
+        if (t < numSrcs) {   // an earlier operand names the same register
+            info.slots[info.numSlots++] = s;
             continue;
-        SrcInfo &info = srcs[static_cast<size_t>(numSrcs++)];
+        }
+        ++numSrcs;
         info.reg = reg;
         info.cur = state(reg.cls).specMap[reg.idx];
-        info.stale = info.cur.stale;
         info.slots[0] = s;
         info.numSlots = 1;
     }
@@ -313,9 +297,8 @@ ReuseRenamer::rename(
     // possibly one for the destination.
     std::uint32_t needAlloc[numRegClasses] = {0, 0};
     for (int t = 0; t < numSrcs; ++t) {
-        if (srcs[static_cast<size_t>(t)].stale)
-            ++needAlloc[static_cast<int>(
-                srcs[static_cast<size_t>(t)].reg.cls)];
+        if (srcs[t].cur.stale)
+            ++needAlloc[static_cast<int>(srcs[t].reg.cls)];
     }
 
     // Reuse decision: prefer the guaranteed (redefining) source.
@@ -325,8 +308,8 @@ ReuseRenamer::rename(
         const std::uint8_t maxCtr =
             static_cast<std::uint8_t>((1u << params.counterBits) - 1);
         auto consider = [&](int t) {
-            const SrcInfo &info = srcs[static_cast<size_t>(t)];
-            if (info.stale || info.reg.cls != destReg.cls)
+            const SrcInfo &info = srcs[t];
+            if (info.cur.stale || info.reg.cls != destReg.cls)
                 return;
             const PrtEntry &e =
                 state(info.reg.cls).prt[info.cur.tag.reg];
@@ -351,14 +334,10 @@ ReuseRenamer::rename(
             if (reuseSrc < 0)
                 reuseSrc = t;
         };
-        // Pass 1: redefining sources; pass 2: the rest.
-        for (int t = 0; t < numSrcs; ++t) {
-            if (srcs[static_cast<size_t>(t)].reg == destReg)
-                consider(t);
-        }
-        if (reuseSrc < 0) {
+        // Pass 0: redefining sources; pass 1 (if none reused): the rest.
+        for (int pass = 0; pass < 2 && reuseSrc < 0; ++pass) {
             for (int t = 0; t < numSrcs; ++t) {
-                if (!(srcs[static_cast<size_t>(t)].reg == destReg))
+                if ((srcs[t].reg == destReg) == (pass == 0))
                     consider(t);
             }
         }
@@ -367,7 +346,8 @@ ReuseRenamer::rename(
         ++needAlloc[static_cast<int>(destReg.cls)];
 
     for (int c = 0; c < numRegClasses; ++c) {
-        if (needAlloc[c] > freeRegs(static_cast<RegClass>(c))) {
+        if (needAlloc[c] > 0 &&
+            needAlloc[c] > freeRegs(static_cast<RegClass>(c))) {
             ++renameStalls;
             res.success = false;
             return res;
@@ -378,8 +358,8 @@ ReuseRenamer::rename(
 
     // Repairs of stale sources (single-use mispredictions, Fig. 8).
     for (int t = 0; t < numSrcs; ++t) {
-        SrcInfo &info = srcs[static_cast<size_t>(t)];
-        if (!info.stale)
+        SrcInfo &info = srcs[t];
+        if (!info.cur.stale)
             continue;
         RegClass cls = info.reg.cls;
         ClassState &st = state(cls);
@@ -409,23 +389,7 @@ ReuseRenamer::rename(
                                     shared.counter, true);
         }
 
-        PhysRegIndex fresh =
-            allocFromBank(cls, typePred.predict(di.pc));
-        if (fresh == invalidRegIndex) {
-            // Unreachable via the Phase-1 feasibility check, but a
-            // guarded fallback beats a panic: undo the partial work
-            // (and its stats) and report a structural stall.
-            squashTo(res.token);
-            repairEvents += -static_cast<double>(res.numRepairs);
-            repairUopsTotal += -static_cast<double>(res.repairUops);
-            ++renameStalls;
-            res = RenameResult{};   // nextToken is back at res.token
-            res.token = res.endToken = nextToken;
-            return res;
-        }
-        PrtEntry &fe = st.prt[fresh];
-        fe.allocated = true;
-        fe.predIndex = typePred.indexFor(di.pc);
+        PhysRegIndex fresh = allocFromBank(cls, typePred.indexFor(di.pc));
         PhysRegTag toTag{cls, fresh, 0};
 
         // Re-point the logical register (clears the stale flag).
@@ -441,12 +405,11 @@ ReuseRenamer::rename(
         repairUopsTotal += uops;
 
         info.cur = MapEntry{toTag, false};
-        info.stale = false;
     }
 
     // Source reads: set read bits, bump use counts, record history.
     for (int t = 0; t < numSrcs; ++t) {
-        SrcInfo &info = srcs[static_cast<size_t>(t)];
+        SrcInfo &info = srcs[t];
         ClassState &st = state(info.reg.cls);
         PrtEntry &e = st.prt[info.cur.tag.reg];
 
@@ -477,19 +440,17 @@ ReuseRenamer::rename(
             e.reuseImpossible = true;
         }
 
-        for (int k = 0; k < info.numSlots; ++k) {
-            res.srcTags[static_cast<size_t>(
-                info.slots[static_cast<size_t>(k)])] = info.cur.tag;
-        }
+        for (int k = 0; k < info.numSlots; ++k)
+            res.srcTags[info.slots[k]] = info.cur.tag;
     }
-    res.numSrcTags = di.si.numSrcs();
+    res.numSrcTags = numOperands;
 
     // Destination.
     if (writes) {
         RegClass cls = destReg.cls;
         ClassState &st = state(cls);
         if (reuseSrc >= 0) {
-            SrcInfo &info = srcs[static_cast<size_t>(reuseSrc)];
+            SrcInfo &info = srcs[reuseSrc];
             PhysRegIndex phys = info.cur.tag.reg;
             PrtEntry &e = st.prt[phys];
             rrs_assert(info.wasFirstConsumer,
@@ -511,7 +472,7 @@ ReuseRenamer::rename(
             e.readBit = false;
             e.usesCurVersion = 0;
 
-            if (!(info.reg == destReg)) {
+            if (info.reg != destReg) {
                 // The source logical register still names the old
                 // version: mark it stale so a later consumer triggers
                 // the repair path.
@@ -527,8 +488,7 @@ ReuseRenamer::rename(
             reuseDepthDist.sample(newVersion);
         } else {
             if (exhaustedSrc >= 0) {
-                const SrcInfo &info =
-                    srcs[static_cast<size_t>(exhaustedSrc)];
+                const SrcInfo &info = srcs[exhaustedSrc];
                 const PrtEntry &e = state(info.reg.cls)
                                         .prt[info.cur.tag.reg];
                 if (e.predIndex != noPred)
@@ -536,23 +496,7 @@ ReuseRenamer::rename(
                 ++shadowExhausted;
             }
             PhysRegIndex fresh =
-                allocFromBank(cls, typePred.predict(di.pc));
-            if (fresh == invalidRegIndex) {
-                // See the repair-loop fallback: unwind and stall
-                // instead of panicking on an empty class.
-                squashTo(res.token);
-                repairEvents += -static_cast<double>(res.numRepairs);
-                repairUopsTotal += -static_cast<double>(res.repairUops);
-                if (exhaustedSrc >= 0)
-                    shadowExhausted += -1.0;
-                ++renameStalls;
-                res = RenameResult{};
-                res.token = res.endToken = nextToken;
-                return res;
-            }
-            PrtEntry &fe = st.prt[fresh];
-            fe.allocated = true;
-            fe.predIndex = typePred.indexFor(di.pc);
+                allocFromBank(cls, typePred.indexFor(di.pc));
             PhysRegTag tag{cls, fresh, 0};
             specMapWrite(cls, destReg.idx, MapEntry{tag, false}, false);
             res.destTag = tag;
@@ -563,29 +507,14 @@ ReuseRenamer::rename(
     }
 
     res.success = true;
-    res.endToken = nextToken;
+    res.endToken = history.endToken();
     return res;
 }
 
 void
 ReuseRenamer::commit(const RenameResult &result)
 {
-    rrs_assert(result.endToken >= historyBase,
-               "commit of already-collected history");
-    while (historyBase < result.endToken) {
-        rrs_assert(!history.empty(), "history underflow at commit");
-        history.pop_front();
-        ++historyBase;
-    }
-    // Bound committed storage: after draining a spike (a long ROB
-    // stall grows the deque far past its steady state), return the
-    // spare chunks to the allocator rather than carrying the peak
-    // footprint for the rest of the run.
-    if (history.empty() &&
-        historyPeakSinceShrink > historyShrinkThreshold) {
-        history.shrink_to_fit();
-        historyPeakSinceShrink = 0;
-    }
+    history.popFrontTo(result.endToken);
 
     // Retirement map: repairs first (older), then the destination.
     for (int r = 0; r < result.numRepairs; ++r) {
@@ -612,13 +541,13 @@ ReuseRenamer::squashTo(
     HistoryToken token,
     const std::function<bool(const PhysRegTag &)> &produced)
 {
-    rrs_assert(token >= historyBase, "squash into committed history");
+    rrs_assert(token >= history.baseToken(),
+               "squash into committed history");
     std::uint32_t recoveries = 0;
-    while (nextToken > token) {
-        rrs_assert(!history.empty(), "history underflow at squash");
-        const HistoryEntry h = history.back();
-        history.pop_back();
-        --nextToken;
+    while (history.endToken() > token) {
+        // Undoing never pushes history, so the slot outlives the pop.
+        const HistoryEntry &h = history.back();
+        history.popBack();
         ClassState &st = state(h.cls);
         switch (h.kind) {
           case HistKind::SrcRead: {

@@ -35,9 +35,9 @@
 #define RRS_RENAME_REUSE_HH
 
 #include <array>
-#include <deque>
 #include <vector>
 
+#include "rename/history.hh"
 #include "rename/predictor.hh"
 #include "rename/renamer.hh"
 
@@ -81,7 +81,11 @@ class ReuseRenamer : public Renamer
         HistoryToken token,
         const std::function<bool(const PhysRegTag &)> &produced =
             {}) override;
-    HistoryToken historyPosition() const override { return nextToken; }
+    HistoryToken
+    historyPosition() const override
+    {
+        return history.endToken();
+    }
 
     std::uint32_t freeRegs(RegClass cls) const override;
     std::uint32_t totalRegs(RegClass cls) const override;
@@ -111,11 +115,10 @@ class ReuseRenamer : public Renamer
     RegisterTypePredictor &predictor() { return typePred; }
 
     /** Figure 12 release-time classification counts. */
-    using Fig12Counts = PredictorBreakdown;
-    Fig12Counts
+    PredictorBreakdown
     fig12Counts() const
     {
-        return Fig12Counts{predReuseCorrect.value(),
+        return PredictorBreakdown{predReuseCorrect.value(),
                            predReuseWrong.value(),
                            predNoReuseCorrect.value(),
                            predNoReuseWrong.value()};
@@ -126,10 +129,6 @@ class ReuseRenamer : public Renamer
     double reuseCount() const { return reuses.value(); }
     double repairCount() const { return repairEvents.value(); }
     double stallCount() const { return renameStalls.value(); }
-    const stats::Distribution &reuseDepths() const
-    {
-        return reuseDepthDist;
-    }
 
     /**
      * Number of committed logical registers whose value would need a
@@ -140,7 +139,7 @@ class ReuseRenamer : public Renamer
     std::uint32_t committedShadowValues() const;
 
     /** Largest number of history entries ever held at once. */
-    std::uint64_t historyPeakEntries() const { return historyPeakCount; }
+    std::uint64_t historyPeakEntries() const { return history.peak(); }
 
     /**
      * Fault-injection seam for the invariant auditor's own tests.
@@ -160,6 +159,7 @@ class ReuseRenamer : public Renamer
 
   private:
     friend class RenameAuditor;
+    friend struct RenameStateAccess;   // tests: whole-state comparison
     static constexpr std::uint32_t noPred = 0xffffffff;
 
     /** PRT entry plus model bookkeeping. */
@@ -248,11 +248,11 @@ class ReuseRenamer : public Renamer
         return cls == RegClass::Int ? params.intBanks : params.fpBanks;
     }
 
-    /** Free-list pop honouring the predicted bank, closest-first. */
-    PhysRegIndex allocFromBank(RegClass cls, std::uint8_t wantBank);
-
-    /** Any free register at all in the class? */
-    bool anyFree(RegClass cls) const;
+    /**
+     * Free-list pop honouring the bank predicted at predictor entry
+     * `predIdx`, closest-first; the register remembers the entry.
+     */
+    PhysRegIndex allocFromBank(RegClass cls, std::uint32_t predIdx);
 
     /** Drop a reference; frees the register when fully unreferenced. */
     void dropSpecRef(RegClass cls, PhysRegIndex phys, bool fromSquash);
@@ -264,23 +264,18 @@ class ReuseRenamer : public Renamer
                       bool fromSquash);
 
     /** Append a history entry, tracking the peak footprint. */
-    void pushHistory(const HistoryEntry &h);
+    void
+    pushHistory(const HistoryEntry &h)
+    {
+        if (history.pushBack(h))
+            historyPeak = static_cast<double>(history.peak());
+    }
 
     ReuseRenamerParams params;
     ClassState classes[numRegClasses];
     RegisterTypePredictor typePred;
 
-    std::deque<HistoryEntry> history;
-    HistoryToken historyBase = 0;
-    HistoryToken nextToken = 0;
-    std::uint64_t historyPeakCount = 0;      //!< lifetime peak size
-    std::size_t historyPeakSinceShrink = 0;  //!< peak since last trim
-    /**
-     * Committed-storage bound: once the deque drains after having
-     * grown past this many entries (a long ROB stall), give the spare
-     * chunks back instead of carrying the peak footprint forever.
-     */
-    static constexpr std::size_t historyShrinkThreshold = 4096;
+    HistoryRing<HistoryEntry> history;
 
     stats::Scalar allocations;
     stats::Scalar historyPeak;

@@ -112,4 +112,16 @@ TEST(StaticInstHelpers, Classes)
     EXPECT_FALSE(si.hasDest());
 }
 
+#if GTEST_HAS_DEATH_TEST
+TEST(OpInfoTableDeathTest, OutOfRangeOpcodePanics)
+{
+    const auto past = static_cast<Opcode>(
+        static_cast<unsigned>(Opcode::NumOpcodes) + 7);
+    EXPECT_DEATH(opInfo(past), "bad opcode");
+    StaticInst si;
+    si.op = Opcode::NumOpcodes;
+    EXPECT_DEATH(si.numSrcs(), "bad opcode");
+}
+#endif
+
 } // namespace

@@ -30,6 +30,19 @@ TEST(TypePredictor, IndexIsStableAndBounded)
     }
 }
 
+TEST(TypePredictor, PredictAtReadsTheEntryAndCountsOnce)
+{
+    RegisterTypePredictor p(TypePredictorParams{512});
+    const Addr pc = 0x2040;
+    const auto idx = p.indexFor(pc);
+    p.trainOnShadowExhausted(idx);
+    p.trainOnShadowExhausted(idx);
+    EXPECT_EQ(p.predictAt(idx), 2);
+    EXPECT_EQ(p.predictionCount(), 1.0);
+    EXPECT_EQ(p.predict(pc), 2);
+    EXPECT_EQ(p.predictionCount(), 2.0);
+}
+
 TEST(TypePredictor, ShadowExhaustionEscalates)
 {
     RegisterTypePredictor p(TypePredictorParams{512});

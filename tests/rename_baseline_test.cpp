@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "rename/baseline.hh"
 
 namespace {
